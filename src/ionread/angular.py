@@ -321,6 +321,7 @@ class BranchingRatios:
     m2_minus: float
 
 
+@lru_cache(maxsize=None)
 def _branching_fractions(ti: int, scheme: Scheme) -> tuple[Fraction, Fraction, Fraction]:
     if scheme is Scheme.P12:
         ratio = Fraction(2, 9)

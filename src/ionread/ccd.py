@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .detmodel import LeakParams, histogram_cutoff, p_bright, p_dark
+from .detmodel import LeakParams, analytic_histograms
 from .errors import ConfigError, DomainError
 
 _FRAME_SALT = 0xF0A3_11CE
@@ -190,12 +190,8 @@ def _frame_rng(seed: int, index: int = 0) -> np.random.Generator:
 
 @lru_cache(maxsize=256)
 def _state_cdf(state: int, lambda0: float, alpha1: float, alpha2: float, eta: float):
-    leak = LeakParams(lambda0, alpha1, alpha2)
-    n_max = histogram_cutoff(lambda0)
-    fn = p_bright if state else p_dark
-    pmf = np.array([fn(n, leak, eta) for n in range(n_max + 1)])
-    pmf[-1] += max(0.0, 1.0 - pmf.sum())
-    cdf = np.cumsum(pmf)
+    hist = analytic_histograms(LeakParams(lambda0, alpha1, alpha2), eta)[state]
+    cdf = np.cumsum(hist.values)
     cdf /= cdf[-1]
     return cdf
 

@@ -40,9 +40,11 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
 
+import numpy as np
+
 from .angular import Scheme, branching_ratios
 from .errors import ConfigError, DomainError
-from .specfun import log_poisson_pmf, reg_inc_gamma
+from .specfun import _count, log_poisson, log_reg_inc_gamma
 
 TWO_PI = 2.0 * math.pi
 
@@ -439,44 +441,63 @@ def dark_leak_density(lam: float, params: LeakParams, eta: float) -> float:
     return a1 * math.exp((lam - params.lambda0) * a1)
 
 
-def _count_index(n) -> int:
-    if isinstance(n, float):
-        if not n.is_integer():
-            raise DomainError(f"count must be a non-negative integer, got {n}")
-        n = int(n)
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise DomainError(f"count must be a non-negative integer, got {n!r}")
-    return n
+def _check_underflow(a, x, log_p, log_rest) -> None:
+    # Where P(a, x) underflowed to 0, bound it by its leading tail term,
+    # P(a, x) <= x^a e^-x / a! * (a+1)/(a+1-x), and refuse to drop a
+    # dark leak term that could exceed ~1e-13.
+    lost = np.isneginf(log_p)
+    a, x, log_rest = (np.broadcast_to(v, lost.shape)[lost] for v in (a, x, log_rest))
+    with np.errstate(divide="ignore"):
+        bound = log_poisson(a, x) + np.log((a + 1.0) / (a + 1.0 - x))
+    if np.any(bound + log_rest > -30.0):
+        raise DomainError("dark leak term underflows: alpha1/eta is too large for lambda0")
+
+
+def count_pmfs(n, lambda0, a1: float, a2: float):
+    """Dark and bright pmfs at the counts n: the kernel behind every pmf.
+
+    n is an integer count or array of counts and lambda0 broadcasts
+    against it, so a column of light levels gives one row per level. a1
+    and a2 are the leak fractions per detected photon (alpha/eta),
+    0 <= a1 < 1 and a2 >= 0; nothing is validated here. Each leak term is
+    combined in log space,
+
+        exp(log P(n+1, x) + log a - (n+1)*log(1 -+ a) [- a1*lambda0]),
+
+    because its factors overflow separately at large counts. Raises
+    DomainError where P(n+1, x) underflows under a dark leak term that
+    is not negligible, instead of returning a pmf that lost its mass.
+    """
+    n = np.asarray(n, dtype=np.float64)
+    lam0 = np.asarray(lambda0, dtype=np.float64)
+    dark = np.where(n == 0, np.exp(-a1 * lam0), 0.0)
+    bright = np.exp(log_poisson(n, lam0) - a2 * lam0)
+    if a1 > 0.0:
+        x = (1.0 - a1) * lam0
+        log_p = log_reg_inc_gamma(n + 1.0, x)
+        log_rest = (math.log(a1) - a1 * lam0) - (n + 1.0) * math.log1p(-a1)
+        if log_p.min() == -np.inf:
+            _check_underflow(n + 1.0, x, log_p, log_rest)
+        dark = dark + np.exp(log_p + log_rest)
+    if a2 > 0.0:
+        bright = bright + np.exp(
+            log_reg_inc_gamma(n + 1.0, (1.0 + a2) * lam0)
+            + math.log(a2)
+            - (n + 1.0) * math.log1p(a2)
+        )
+    return dark, bright
 
 
 def p_dark(n, params: LeakParams, eta: float) -> float:
     """Probability a dark ion yields exactly n detected photons."""
-    n = _count_index(n)
-    a1, _ = _leak_fractions(params, eta)
-    lam0 = params.lambda0
-    point = math.exp(-a1 * lam0)
-    if a1 == 0.0 or lam0 == 0.0:
-        return point if n == 0 else 0.0
-    tail = reg_inc_gamma(n + 1, (1.0 - a1) * lam0)
-    if tail > 0.0:
-        # a1/(1-a1)^(n+1) in log space so large n cannot overflow
-        tail *= math.exp(math.log(a1) - (n + 1) * math.log1p(-a1))
-    base = point if n == 0 else 0.0
-    return base + point * tail
+    a1, a2 = _leak_fractions(params, eta)
+    return float(count_pmfs(_count(n), params.lambda0, a1, a2)[0])
 
 
 def p_bright(n, params: LeakParams, eta: float) -> float:
     """Probability a bright ion yields exactly n detected photons."""
-    n = _count_index(n)
-    _, a2 = _leak_fractions(params, eta)
-    lam0 = params.lambda0
-    survived = math.exp(log_poisson_pmf(n, lam0) - a2 * lam0)
-    if a2 == 0.0 or lam0 == 0.0:
-        return survived
-    leaked = reg_inc_gamma(n + 1, (1.0 + a2) * lam0)
-    if leaked > 0.0:
-        leaked *= math.exp(math.log(a2) - (n + 1) * math.log1p(a2))
-    return survived + leaked
+    a1, a2 = _leak_fractions(params, eta)
+    return float(count_pmfs(_count(n), params.lambda0, a1, a2)[1])
 
 
 def histogram_cutoff(lambda0: float) -> int:
@@ -487,13 +508,11 @@ def histogram_cutoff(lambda0: float) -> int:
 
 
 def pmf_arrays(params: LeakParams, eta: float, n_max: int | None = None):
-    """Dark and bright pmfs tabulated on 0..n_max inclusive."""
+    """Dark and bright pmfs tabulated on 0..n_max inclusive, as arrays."""
+    a1, a2 = _leak_fractions(params, eta)
     if n_max is None:
         n_max = histogram_cutoff(params.lambda0)
-    n_max = _count_index(n_max)
-    dark = [p_dark(n, params, eta) for n in range(n_max + 1)]
-    bright = [p_bright(n, params, eta) for n in range(n_max + 1)]
-    return dark, bright
+    return count_pmfs(np.arange(_count(n_max) + 1), params.lambda0, a1, a2)
 
 
 def analytic_histograms(

@@ -21,15 +21,17 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .angular import Scheme
 from .detmodel import (
     DetectionConfig,
     IonSpecies,
     LeakParams,
+    count_pmfs,
     detection_params,
     histogram_cutoff,
-    p_bright,
-    p_dark,
+    pmf_arrays,
 )
 from .errors import DomainError
 
@@ -52,27 +54,34 @@ class DiscriminationResult:
     bright_fidelity: float
 
 
-def _cdf_pair(params: LeakParams, eta: float, n_max: int):
-    dark_cum = []
-    bright_cum = []
-    td = 0.0
-    tb = 0.0
-    for n in range(n_max + 1):
-        td += p_dark(n, params, eta)
-        tb += p_bright(n, params, eta)
-        dark_cum.append(min(td, 1.0))
-        bright_cum.append(min(tb, 1.0))
-    return dark_cum, bright_cum
+def _cdf_pair(dark, bright):
+    """Cumulative sums of the pmfs along the count axis, capped at 1."""
+    return (
+        np.minimum(np.cumsum(dark, axis=-1), 1.0),
+        np.minimum(np.cumsum(bright, axis=-1), 1.0),
+    )
+
+
+def _first_best(dark_cum, bright_cum, lambda0: float) -> DiscriminationResult:
+    # argmax keeps the first maximum, as a strict-improvement scan over d would
+    fid = np.minimum(dark_cum, 1.0 - bright_cum)
+    d = int(np.argmax(fid))
+    return DiscriminationResult(
+        d=d,
+        lambda0_opt=float(lambda0),
+        fidelity=float(fid[d]),
+        dark_fidelity=float(dark_cum[d]),
+        bright_fidelity=float(1.0 - bright_cum[d]),
+    )
 
 
 def fidelity_at(d: int, params: LeakParams, eta: float) -> DiscriminationResult:
     """Both one-sided fidelities and their minimum at threshold d."""
     if not isinstance(d, int) or isinstance(d, bool) or d < 0:
         raise DomainError(f"threshold must be a non-negative integer, got {d!r}")
-    dark_fid = math.fsum(p_dark(n, params, eta) for n in range(d + 1))
-    bright_fid = 1.0 - math.fsum(p_bright(n, params, eta) for n in range(d + 1))
-    dark_fid = min(dark_fid, 1.0)
-    bright_fid = max(min(bright_fid, 1.0), 0.0)
+    dark, bright = pmf_arrays(params, eta, d)
+    dark_fid = min(math.fsum(dark), 1.0)
+    bright_fid = max(min(1.0 - math.fsum(bright), 1.0), 0.0)
     return DiscriminationResult(
         d=d,
         lambda0_opt=params.lambda0,
@@ -84,20 +93,7 @@ def fidelity_at(d: int, params: LeakParams, eta: float) -> DiscriminationResult:
 
 def best_threshold(params: LeakParams, eta: float) -> DiscriminationResult:
     """Exhaustive threshold scan over d in [0, n_max] at fixed lambda0."""
-    n_max = histogram_cutoff(params.lambda0)
-    dark_cum, bright_cum = _cdf_pair(params, eta, n_max)
-    best = None
-    for d in range(n_max + 1):
-        f = min(dark_cum[d], 1.0 - bright_cum[d])
-        if best is None or f > best.fidelity:
-            best = DiscriminationResult(
-                d=d,
-                lambda0_opt=params.lambda0,
-                fidelity=f,
-                dark_fidelity=dark_cum[d],
-                bright_fidelity=1.0 - bright_cum[d],
-            )
-    return best
+    return _first_best(*_cdf_pair(*pmf_arrays(params, eta)), params.lambda0)
 
 
 def floor_leak_ratios(species: IonSpecies, scheme) -> tuple[float, float]:
@@ -139,18 +135,28 @@ def optimize_at(
     if grid_points < 3:
         raise DomainError(f"grid must have at least 3 points, got {grid_points}")
     hi = _lambda0_bound(alpha1, eta)
+    LeakParams(hi, alpha1, alpha2)  # validates the leak ratios
 
     def eval_at(lam0: float) -> DiscriminationResult:
         return best_threshold(LeakParams(lam0, alpha1, alpha2), eta)
 
+    # the whole grid as one 2-D evaluation, each row scanned only up to
+    # its own histogram_cutoff, as best_threshold would scan it
     step = hi / grid_points
-    grid = [step * (i + 1) for i in range(grid_points)]
-    results = [eval_at(lam0) for lam0 in grid]
-    k = max(range(len(results)), key=lambda i: results[i].fidelity)
-    best = results[k]
+    grid = step * np.arange(1, grid_points + 1)
+    cutoffs = np.array([histogram_cutoff(lam0) for lam0 in grid])
+    counts = np.arange(cutoffs.max() + 1)
+    dark_cum, bright_cum = _cdf_pair(
+        *count_pmfs(counts, grid[:, None], alpha1 / eta, alpha2 / eta)
+    )
+    fid = np.minimum(dark_cum, 1.0 - bright_cum)
+    fid[counts > cutoffs[:, None]] = -np.inf
+    k = int(np.argmax(fid.max(axis=1)))
+    row = slice(0, cutoffs[k] + 1)
+    best = _first_best(dark_cum[k, row], bright_cum[k, row], grid[k])
 
-    a = grid[k - 1] if k > 0 else step * 0.5
-    b = grid[k + 1] if k + 1 < len(results) else hi
+    a = float(grid[k - 1]) if k > 0 else step * 0.5
+    b = float(grid[k + 1]) if k + 1 < grid_points else hi
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1 = eval_at(x1)

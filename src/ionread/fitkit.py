@@ -23,19 +23,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .angular import Scheme
 from .detmodel import (
     DetectionConfig,
     IonSpecies,
     PhotonHistogram,
+    count_pmfs,
     detection_params,
     histogram_cutoff,
     pmf_arrays,
 )
 from .errors import DomainError
-from .specfun import poisson_pmf
 
 _LOG_BOUNDS = {
     "eta": (math.log(1e-9), 0.0),
@@ -72,8 +71,9 @@ def _counts(hist: PhotonHistogram, name: str) -> np.ndarray:
 
 
 def _background_pmf(lambda_bg: float) -> np.ndarray:
-    top = histogram_cutoff(lambda_bg)
-    return np.array([poisson_pmf(n, lambda_bg) for n in range(top + 1)])
+    # a bright ion that cannot leak counts Poisson photons
+    counts = np.arange(histogram_cutoff(lambda_bg) + 1)
+    return count_pmfs(counts, lambda_bg, 0.0, 0.0)[1]
 
 
 def model_distributions(
@@ -100,8 +100,6 @@ def model_distributions(
     cutoff = histogram_cutoff(leak.lambda0 + (lambda_bg or 0.0))
     top = max(n_top if n_top is not None else 0, cutoff)
     dark, bright = pmf_arrays(leak, eta, top)
-    dark = np.asarray(dark)
-    bright = np.asarray(bright)
     if lambda_bg is not None and lambda_bg > 0.0:
         bg = _background_pmf(lambda_bg)
         dark = np.convolve(dark, bg)[: top + 1]
@@ -176,6 +174,9 @@ def fit_histograms(
     completely unconstrained, so such fits report converged=False. An
     all-zero histogram is rejected outright.
     """
+    # imported here: scipy.optimize takes ~0.4 s to import and only fits use it
+    from scipy.optimize import minimize
+
     if not tau_d > 0:
         raise DomainError(f"detection time must be > 0, got {tau_d}")
     scheme = Scheme(scheme)

@@ -15,6 +15,7 @@ except ModuleNotFoundError:  # Python 3.10
 
 import ionread
 from ionread.cli import run_command
+from ionread.detmodel import histogram_cutoff
 from ionread.specfun import poisson_pmf
 
 SUBCOMMANDS = ["params", "dist", "optimize", "curve", "table1", "mc", "fit",
@@ -146,6 +147,17 @@ class TestDist:
         assert code == 0
         first = out.strip().splitlines()[1].split(",")[1]
         assert first == "%.9g" % 0.577696135666746
+
+    def test_huge_rate_finite(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"lambda0": 1e5, "alpha1": 0.001,
+                                      "alpha2": 0.001, "eta": 1.0})
+        code, out, err = run(["dist", "--config", cfg], capsys)
+        assert code == 0, err
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert len(rows) == histogram_cutoff(1e5) + 1
+        values = [float(v) for row in rows for v in row[1:]]
+        assert all(math.isfinite(v) and v >= 0.0 for v in values)
+        assert math.fsum(values) == pytest.approx(2.0, abs=1e-6)
 
 
 class TestOptimize:

@@ -15,6 +15,7 @@ from ionread.detmodel import (
     LeakParams,
     PhotonHistogram,
     analytic_histograms,
+    count_pmfs,
     dark_leak_density,
     dark_point_mass,
     detection_params,
@@ -293,6 +294,24 @@ class TestCountDistributions:
         bright = math.fsum(p_bright(n, params, 1.0) for n in range(top + 1))
         assert abs(dark - 1.0) <= 1e-9
         assert abs(bright - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("lambda0", [1e5, 1e6])
+    @pytest.mark.parametrize("a1,a2", [(0.0, 0.0), (1e-6, 1e-6), (1e-3, 1e-3)])
+    def test_kernel_normalized_at_huge_rate(self, lambda0, a1, a2):
+        counts = np.arange(histogram_cutoff(lambda0) + 1)
+        for pmf in count_pmfs(counts, lambda0, a1, a2):
+            assert np.all(np.isfinite(pmf))
+            assert abs(math.fsum(pmf) - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("lambda0,a1", [(1e3, 0.79), (1e4, 0.35), (1e6, 0.04)])
+    def test_kernel_refuses_underflowed_dark_mass(self, lambda0, a1):
+        # P(n+1, (1-a1)*lambda0) underflows where the dark pmf lives
+        with pytest.raises(DomainError):
+            pmf_arrays(LeakParams(lambda0, a1, 0.0), 1.0)
+
+    def test_far_tail_bin_is_zero(self):
+        # an underflowed P far past the cutoff is negligible, not an error
+        assert p_dark(10**6, LeakParams(12.0, 0.05, 0.0), 1.0) == 0.0
 
     def test_quadrature_oracle_20_random_tuples(self):
         rng = np.random.Generator(np.random.Philox(20260816))

@@ -1,13 +1,15 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from ionread.angular import Scheme
-from ionread.detmodel import LeakParams, get_species, histogram_cutoff
+from ionread.detmodel import LeakParams, get_species, histogram_cutoff, pmf_arrays
 from ionread.errors import DomainError
 from ionread.fidelity import (
+    _cdf_pair,
     approx_fidelity,
     best_threshold,
     composed_fidelity,
@@ -208,3 +210,39 @@ class TestOptimizeAt:
         assert res.d == 0
         assert res.lambda0_opt == pytest.approx(5.37076296, abs=2e-4)
         assert res.fidelity == pytest.approx(0.995349006, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "alpha1,alpha2,eta",
+        [(1.0655868719708028e-6, 0.0, 1e-3), (2e-5, 3e-6, 0.01), (0.02, 0.05, 1.0)],
+    )
+    def test_grid_matches_per_level_scans(self, alpha1, alpha2, eta):
+        # a rel_tol this wide skips the golden section, leaving the grid
+        # optimum; each grid row must scan exactly as best_threshold does
+        points = 40
+        res = optimize_at(alpha1, alpha2, eta, grid_points=points, rel_tol=1e9)
+        hi = 3.0 * math.log(1.0 / (alpha1 / eta))  # as optimize_at bounds it
+        scans = [
+            best_threshold(LeakParams(hi / points * (i + 1), alpha1, alpha2), eta)
+            for i in range(points)
+        ]
+        ref = max(scans, key=lambda r: r.fidelity)
+        assert (res.d, res.lambda0_opt) == (ref.d, ref.lambda0_opt)
+        assert res.fidelity == pytest.approx(ref.fidelity, rel=0, abs=1e-14)
+
+
+class TestCdfPair:
+    @example(math.log(1e6), math.log(0.02), math.log(0.3))
+    @example(math.log(1e6), math.log(1e-6), math.log(1e-6))
+    @example(math.log(1e-3), math.log(0.3), math.log(0.3))
+    @given(
+        st.floats(min_value=math.log(1e-3), max_value=math.log(1e6)),
+        st.floats(min_value=math.log(1e-6), max_value=math.log(0.3)),
+        st.floats(min_value=math.log(1e-6), max_value=math.log(0.3)),
+    )
+    def test_cdfs_nondecreasing_and_capped(self, log_lambda0, log_a1, log_a2):
+        # the kernel raises once (alpha1/eta)*sqrt(lambda0) passes ~25
+        assume(math.exp(log_a1 + 0.5 * log_lambda0) <= 20.0)
+        params = LeakParams(math.exp(log_lambda0), math.exp(log_a1), math.exp(log_a2))
+        for cdf in _cdf_pair(*pmf_arrays(params, 1.0)):
+            assert np.all(np.diff(cdf) >= 0.0)
+            assert np.all(cdf <= 1.0)

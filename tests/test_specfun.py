@@ -1,11 +1,21 @@
+"""The scipy-backed special functions: validated scalar wrappers and the
+vectorized forms the count-distribution kernel combines."""
+
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ionread.errors import DomainError
-from ionread.specfun import log_poisson_pmf, poisson_pmf, reg_inc_gamma
+from ionread.specfun import (
+    log_poisson,
+    log_poisson_pmf,
+    log_reg_inc_gamma,
+    poisson_pmf,
+    reg_inc_gamma,
+)
 
 
 class TestRegIncGamma:
@@ -62,6 +72,16 @@ class TestRegIncGamma:
         p = reg_inc_gamma(a, x)
         assert -1e-12 <= p <= 1.0 + 1e-12
 
+    @given(
+        st.integers(min_value=1, max_value=3000),
+        st.floats(min_value=0.0, max_value=4000.0),
+    )
+    def test_log_form_matches_scalar(self, a, x):
+        # the kernel's array form evaluates the same P as the scalar wrapper
+        got = log_reg_inc_gamma(np.array([float(a)]), x)[0]
+        p = reg_inc_gamma(a, x)
+        assert got == (pytest.approx(math.log(p), rel=1e-15) if p > 0.0 else -math.inf)
+
     def test_rejects_bad_a(self):
         with pytest.raises(DomainError):
             reg_inc_gamma(0, 1.0)
@@ -104,6 +124,11 @@ class TestPoissonPmf:
         assert math.isfinite(log_poisson_pmf(10**6, 1000.0))
         # the peak region of a large mean stays finite too
         assert math.isfinite(poisson_pmf(10**6, 10.0**6))
+
+    @given(st.integers(min_value=0, max_value=5000), st.floats(min_value=0.0, max_value=5000.0))
+    def test_array_form_matches_scalar(self, n, mean):
+        counts = np.arange(n + 1, dtype=np.float64)
+        assert log_poisson(counts, mean)[n] == log_poisson_pmf(n, mean)
 
     def test_rejects_negative_mean(self):
         with pytest.raises(DomainError):
