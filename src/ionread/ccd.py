@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -39,9 +40,10 @@ _FRAME_SALT = 0xF0A3_11CE
 
 @dataclass(frozen=True)
 class CcdParams:
+    """Imager settings; roi_super_pixels is the k of the SNR law and of each simulated ROI box."""
+
     gain_g: float = 100.0
     readout_rms_r: float = 2.0
-    bin_factor: int = 4
     roi_super_pixels: int = 49
     offset: float = 20.0
     counts_per_photon: float = 100.0
@@ -50,11 +52,9 @@ class CcdParams:
 
     def __post_init__(self):
         if not self.gain_g > 0:
-            raise DomainError(f"gain must be > 0, got {self.gain_g}")
+            raise DomainError(f"gain_g must be > 0, got {self.gain_g}")
         if not self.readout_rms_r >= 0:
-            raise DomainError(f"readout rms must be >= 0, got {self.readout_rms_r}")
-        if not (isinstance(self.bin_factor, int) and self.bin_factor >= 1):
-            raise DomainError(f"bin factor must be a positive integer, got {self.bin_factor!r}")
+            raise DomainError(f"readout_rms_r must be >= 0, got {self.readout_rms_r}")
         if not (isinstance(self.roi_super_pixels, int) and self.roi_super_pixels >= 1):
             raise DomainError(
                 f"roi_super_pixels must be a positive integer, got {self.roi_super_pixels!r}"
@@ -71,16 +71,7 @@ class CcdParams:
             )
 
     def to_meta(self) -> dict:
-        return {
-            "gain_g": self.gain_g,
-            "readout_rms_r": self.readout_rms_r,
-            "bin_factor": self.bin_factor,
-            "roi_super_pixels": self.roi_super_pixels,
-            "offset": self.offset,
-            "counts_per_photon": self.counts_per_photon,
-            "psf_sigma": self.psf_sigma,
-            "gain_dist": self.gain_dist,
-        }
+        return dict(vars(self))
 
 
 def snr(lambda0: float, params: CcdParams) -> float:
@@ -119,23 +110,37 @@ class Roi:
         )
 
 
-def default_rois(positions, frame_width: int, frame_height: int, size: int = 7):
+def default_rois(positions, frame_width: int, frame_height: int,
+                 size: int = math.isqrt(CcdParams.roi_super_pixels)):
     """Size x size boxes centered on the given (x, y) super-pixel positions.
 
     Boxes must fit inside the frame and must not overlap.
     """
     half = size // 2
     rois = []
-    for x, y in positions:
-        roi = Roi(x0=int(x) - half, y0=int(y) - half, width=size, height=size)
-        if roi.x0 < 0 or roi.y0 < 0 or roi.x0 + size > frame_width or roi.y0 + size > frame_height:
-            raise ConfigError(f"ROI for ion at ({x},{y}) leaves the {frame_width}x{frame_height} frame")
-        rois.append(roi)
-    for i in range(len(rois)):
-        for j in range(i + 1, len(rois)):
-            if rois[i].overlaps(rois[j]):
-                raise ConfigError(f"ROIs for ions {i} and {j} overlap")
+    for i, (x, y) in enumerate(positions):
+        x0, y0 = int(x) - half, int(y) - half
+        if x0 < 0 or y0 < 0 or x0 + size > frame_width or y0 + size > frame_height:
+            raise ConfigError(f"ROI around positions[{i}] = ({x},{y}) leaves the {frame_width}x{frame_height} frame")
+        rois.append(Roi(x0=x0, y0=y0, width=size, height=size))
+    _check_disjoint(rois)
     return rois
+
+
+def _check_disjoint(rois) -> None:
+    for (i, a), (j, b) in combinations(enumerate(rois), 2):
+        if a.overlaps(b):
+            raise ConfigError(f"ROIs for ions {i} and {j} overlap")
+
+
+def _frame_size(positions, side: int, frame_width, frame_height) -> tuple[int, int]:
+    """Frame dimensions; a None one makes room for side x side boxes around the ions."""
+    margin = side // 2 + 1
+    if frame_width is None:
+        frame_width = max(int(x) for x, _ in positions) + margin
+    if frame_height is None:
+        frame_height = max(int(y) for _, y in positions) + margin
+    return frame_width, frame_height
 
 
 @dataclass
@@ -184,6 +189,8 @@ class RegisterReadout:
 
 
 def _frame_rng(seed: int, index: int = 0) -> np.random.Generator:
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
+        raise DomainError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
     key = np.array([seed, (_FRAME_SALT << 32) + index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -194,11 +201,6 @@ def _state_cdf(state: int, lambda0: float, alpha1: float, alpha2: float, eta: fl
     cdf = np.cumsum(hist.values)
     cdf /= cdf[-1]
     return cdf
-
-
-def _sample_detected_photons(rng, state: int, leak: LeakParams, eta: float) -> int:
-    cdf = _state_cdf(int(bool(state)), leak.lambda0, leak.alpha1, leak.alpha2, eta)
-    return int(np.searchsorted(cdf, rng.random(), side="right"))
 
 
 def _parse_states(states, n_ions: int):
@@ -235,7 +237,7 @@ def synthesize_frame(
     mean detected photon number (replacing leak.lambda0, whose alpha
     fields apply to every ion); eps routes that fraction of each ion's
     photons to each adjacent ion's position. The default frame makes room
-    for a 7x7 region around every ion.
+    for the sqrt(ccd.roi_super_pixels)-sided ROI box around every ion.
     """
     n_ions = len(positions)
     if n_ions == 0:
@@ -245,17 +247,16 @@ def synthesize_frame(
     if not 0.0 <= crosstalk_eps < 0.5:
         raise DomainError(f"crosstalk_eps must be in [0, 0.5), got {crosstalk_eps}")
     bits = _parse_states(states, n_ions)
-    if frame_width is None:
-        frame_width = max(int(x) for x, _ in positions) + 4
-    if frame_height is None:
-        frame_height = max(int(y) for _, y in positions) + 4
+    side = math.isqrt(ccd.roi_super_pixels)
+    frame_width, frame_height = _frame_size(positions, side, frame_width, frame_height)
     if rng is None:
         rng = _frame_rng(seed)
 
+    centers = np.array(positions, dtype=np.float64)
     deposits = np.zeros((frame_height, frame_width), dtype=np.float64)
-    for i, (pos, lam0, bit) in enumerate(zip(positions, per_ion_lambda0, bits)):
-        ion_leak = replace(leak, lambda0=float(lam0))
-        n_phot = _sample_detected_photons(rng, bit, ion_leak, eta)
+    for i, (lam0, bit) in enumerate(zip(per_ion_lambda0, bits)):
+        cdf = _state_cdf(bit, float(lam0), leak.alpha1, leak.alpha2, eta)
+        n_phot = int(np.searchsorted(cdf, rng.random(), side="right"))
         if n_phot == 0:
             continue
         # destination ion index per photon: stay, or hop to a neighbor
@@ -265,10 +266,8 @@ def synthesize_frame(
             dest[u < crosstalk_eps] = i - 1
         if i + 1 < n_ions:
             dest[(u >= crosstalk_eps) & (u < 2 * crosstalk_eps)] = i + 1
-        cx = np.array([positions[d][0] for d in dest], dtype=np.float64)
-        cy = np.array([positions[d][1] for d in dest], dtype=np.float64)
-        px = np.rint(cx + rng.normal(0.0, ccd.psf_sigma, n_phot)).astype(np.int64)
-        py = np.rint(cy + rng.normal(0.0, ccd.psf_sigma, n_phot)).astype(np.int64)
+        px = np.rint(centers[dest, 0] + rng.normal(0.0, ccd.psf_sigma, n_phot)).astype(np.int64)
+        py = np.rint(centers[dest, 1] + rng.normal(0.0, ccd.psf_sigma, n_phot)).astype(np.int64)
         if ccd.gain_dist == "exponential":
             amounts = rng.exponential(ccd.counts_per_photon, n_phot)
         else:
@@ -295,10 +294,7 @@ def read_register(frame: CcdFrame, rois: Sequence[Roi], thresholds: Sequence[flo
     for i, roi in enumerate(rois):
         if roi.x0 + roi.width > frame.width or roi.y0 + roi.height > frame.height:
             raise DomainError(f"ROI {i} exceeds the {frame.width}x{frame.height} frame")
-    for i in range(len(rois)):
-        for j in range(i + 1, len(rois)):
-            if rois[i].overlaps(rois[j]):
-                raise ConfigError(f"ROIs {i} and {j} overlap")
+    _check_disjoint(rois)
     offset = float(frame.meta.get("offset", 0.0))
     sums = []
     for roi in rois:
@@ -325,7 +321,6 @@ def simulate_register_batch(
     seed: int,
     *,
     states="random",
-    roi_size: int = 7,
     frame_width: int | None = None,
     frame_height: int | None = None,
 ):
@@ -334,16 +329,18 @@ def simulate_register_batch(
     states is either the literal "random" (independent fair coin per ion
     per trial) or a fixed bit pattern applied to every trial. Each trial
     has its own counter-derived stream, so results do not depend on
-    evaluation order.
+    evaluation order. Each ion is read through a square ROI box of
+    ccd.roi_super_pixels super-pixels, so that count must be a perfect
+    square.
     """
     if not (isinstance(trials, int) and trials >= 1):
         raise DomainError(f"trials must be a positive integer, got {trials!r}")
+    side = math.isqrt(ccd.roi_super_pixels)
+    if side * side != ccd.roi_super_pixels:
+        raise DomainError(f"roi_super_pixels must be a perfect square, got {ccd.roi_super_pixels}")
     n_ions = len(positions)
-    if frame_width is None:
-        frame_width = max(int(x) for x, _ in positions) + roi_size // 2 + 1
-    if frame_height is None:
-        frame_height = max(int(y) for _, y in positions) + roi_size // 2 + 1
-    rois = default_rois(positions, frame_width, frame_height, size=roi_size)
+    frame_width, frame_height = _frame_size(positions, side, frame_width, frame_height)
+    rois = default_rois(positions, frame_width, frame_height, size=side)
     fixed = None if states == "random" else _parse_states(states, n_ions)
     readouts = []
     for t in range(trials):

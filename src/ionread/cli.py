@@ -97,15 +97,24 @@ def _check_keys(doc: dict, allowed, command: str) -> None:
         )
 
 
+def _as_number(key: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
+    return float(value)
+
+
+def _as_int(key: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
+    return value
+
+
 def _number(doc: dict, key: str, default=None, required=False):
     if key not in doc:
         if required:
             raise ConfigError(f"config key {key!r} is required")
         return default
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
-    return float(value)
+    return _as_number(key, doc[key])
 
 
 def _resolve_species(args, doc):
@@ -196,9 +205,8 @@ def _cmd_dist(args) -> int:
     doc = _load_config(args.config)
     leak, eta = _leak_from_config(args, doc, "dist")
     n_max = doc.get("n_max")
-    if n_max is not None:
-        if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 0:
-            raise ConfigError(f"config key 'n_max' must be a non-negative integer, got {n_max!r}")
+    if n_max is not None and _as_int("n_max", n_max) < 0:
+        raise ConfigError(f"config key 'n_max' must be a non-negative integer, got {n_max!r}")
     dark, bright = pmf_arrays(leak, eta, n_max)
     lines = ["n,p_dark,p_bright"]
     for n, (pd, pb) in enumerate(zip(dark, bright)):
@@ -237,10 +245,7 @@ def _cmd_curve(args) -> int:
     grid = doc.get("eta_grid", [1e-3, 1e-2, 0.1, 0.3])
     if not isinstance(grid, list) or not grid:
         raise ConfigError("config key 'eta_grid' must be a non-empty list of numbers")
-    for v in grid:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"config key 'eta_grid' must hold numbers, got {v!r}")
-    rows = fidelity_curve(species, scheme, [float(v) for v in grid])
+    rows = fidelity_curve(species, scheme, [_as_number("eta_grid", v) for v in grid])
     _emit(format_curve_csv(rows), args.out)
     return 0
 
@@ -270,9 +275,7 @@ def _int_option(args, doc, key: str, default=None, required=False) -> int | None
         if required:
             raise ConfigError(f"config key {key!r} is required (or pass --{key})")
         return None
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
-    return value
+    return _as_int(key, value)
 
 
 def _cmd_mc(args) -> int:
@@ -316,11 +319,16 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-_CCD_PARAM_KEYS = ("gain_g", "readout_rms_r", "bin_factor", "roi_super_pixels",
-                   "offset", "counts_per_photon", "psf_sigma", "gain_dist")
 _CCD_SIM_KEYS = ("positions", "lambda0", "alpha1", "alpha2", "eta", "crosstalk_eps",
-                 "thresholds", "trials", "seed", "states", "roi_size",
-                 "frame_width", "frame_height", "ccd", "readouts_out", "report_out")
+                 "thresholds", "trials", "seed", "states", "frame_width", "frame_height",
+                 "ccd", "readouts_out", "report_out")
+
+
+def _per_ion_numbers(doc, key: str, n_ions: int) -> list:
+    values = doc.get(key)
+    if not isinstance(values, list) or len(values) != n_ions:
+        raise ConfigError(f"config key {key!r} must list one number per ion")
+    return [_as_number(key, v) for v in values]
 
 
 def _cmd_ccd_sim(args) -> int:
@@ -328,63 +336,57 @@ def _cmd_ccd_sim(args) -> int:
     if not doc:
         raise ConfigError("ccd-sim requires --config with the register layout")
     _check_keys(doc, _CCD_SIM_KEYS, "ccd-sim")
-    positions = doc.get("positions")
-    if not isinstance(positions, list) or not positions:
-        raise ConfigError("config key 'positions' must be a non-empty list of [x, y] pairs")
-    try:
-        positions = [(int(x), int(y)) for x, y in positions]
-    except (TypeError, ValueError):
-        raise ConfigError("config key 'positions' must be a non-empty list of [x, y] pairs") from None
-    lam = doc.get("lambda0")
-    if isinstance(lam, list):
-        per_ion = [float(v) for v in lam]
-    elif isinstance(lam, (int, float)) and not isinstance(lam, bool):
-        per_ion = [float(lam)] * len(positions)
-    else:
-        raise ConfigError("config key 'lambda0' must be a number or a per-ion list")
-    leak = LeakParams(
-        lambda0=max(per_ion),
-        alpha1=_number(doc, "alpha1", default=0.0),
-        alpha2=_number(doc, "alpha2", default=0.0),
-    )
-    eta = args.eta if args.eta is not None else _number(doc, "eta", default=1.0)
-    thresholds = doc.get("thresholds")
-    if not isinstance(thresholds, list) or len(thresholds) != len(positions):
-        raise ConfigError("config key 'thresholds' must list one threshold per ion")
-    trials = _int_option(args, doc, "trials", required=True)
-    seed = _int_option(args, doc, "seed", default=0)
-    ccd_doc = doc.get("ccd", {})
-    if not isinstance(ccd_doc, dict):
-        raise ConfigError("config key 'ccd' must be an object")
-    _check_keys(ccd_doc, _CCD_PARAM_KEYS, "ccd-sim")
-    try:
-        ccd = CcdParams(**ccd_doc)
-    except TypeError as exc:
-        raise ConfigError(f"bad ccd parameters: {exc}") from exc
-    readouts = simulate_register_batch(
-        int(trials),
-        positions,
-        per_ion,
-        leak,
-        float(eta),
-        ccd,
-        _number(doc, "crosstalk_eps", default=0.0),
-        [float(t) for t in thresholds],
-        int(seed),
-        states=doc.get("states", "random"),
-        roi_size=int(doc.get("roi_size", 7)),
-        frame_width=doc.get("frame_width"),
-        frame_height=doc.get("frame_height"),
-    )
+    for key in ("readouts_out", "report_out"):
+        if not isinstance(doc.get(key, ""), str):
+            raise ConfigError(f"config key {key!r} must be a file path, got {doc[key]!r}")
     readouts_out = doc.get("readouts_out") or args.out
     if not readouts_out:
         raise ConfigError("declare 'readouts_out' (or --out) for the per-trial readouts")
-    _atomic_write(readouts_out, format_readouts_csv(readouts))
+    positions = doc.get("positions")
+    if not (isinstance(positions, list) and positions
+            and all(isinstance(xy, list) and len(xy) == 2 for xy in positions)):
+        raise ConfigError("config key 'positions' must be a non-empty list of [x, y] pairs")
+    positions = [(_as_int("positions", x), _as_int("positions", y)) for x, y in positions]
+    n_ions = len(positions)
+    per_ion = (_per_ion_numbers(doc, "lambda0", n_ions) if isinstance(doc.get("lambda0"), list)
+               else [_number(doc, "lambda0", required=True)] * n_ions)
+    states = doc.get("states", "random")
+    if isinstance(states, list):
+        states = [_as_int("states", b) for b in states]
+    elif not isinstance(states, str):
+        raise ConfigError(f"config key 'states' must be a 0/1 string, a list of bits or 'random', got {states!r}")
+    ccd_doc = doc.get("ccd", {})
+    if not isinstance(ccd_doc, dict):
+        raise ConfigError("config key 'ccd' must be an object")
+    _check_keys(ccd_doc, CcdParams.__dataclass_fields__, "ccd-sim")
+    for key, value in ccd_doc.items():
+        if key != "gain_dist":
+            _as_number(f"ccd.{key}", value)
+    try:
+        ccd = CcdParams(**ccd_doc)
+        leak = LeakParams(max(per_ion), _number(doc, "alpha1", default=0.0),
+                          _number(doc, "alpha2", default=0.0))
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
+    eta = args.eta if args.eta is not None else _number(doc, "eta", default=1.0)
+    readouts = simulate_register_batch(
+        _int_option(args, doc, "trials", required=True),
+        positions,
+        per_ion,
+        leak,
+        eta,
+        ccd,
+        _number(doc, "crosstalk_eps", default=0.0),
+        _per_ion_numbers(doc, "thresholds", n_ions),
+        _int_option(args, doc, "seed", default=0),
+        states=states,
+        frame_width=_int_option(args, doc, "frame_width"),
+        frame_height=_int_option(args, doc, "frame_height"),
+    )
+    # built before the first write, so a register it rejects leaves no file
     report = conditional_correlations(readouts)
-    if doc.get("report_out"):
-        _atomic_write(doc["report_out"], report.format_csv())
-    else:
-        sys.stdout.write(report.format_csv())
+    _atomic_write(readouts_out, format_readouts_csv(readouts))
+    _emit(report.format_csv(), doc.get("report_out"))
     return 0
 
 

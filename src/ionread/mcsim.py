@@ -213,7 +213,6 @@ def parse_histogram_csv(text: str) -> PhotonHistogram:
     trials inferred from the column sum.
     """
     meta = {}
-    trials = None
     rows = {}
     saw_header = False
     for raw in text.splitlines():
@@ -225,12 +224,12 @@ def parse_histogram_csv(text: str) -> PhotonHistogram:
                 if "=" not in token:
                     continue
                 key, _, val = token.partition("=")
-                if key == "trials":
-                    trials = int(val)
-                elif key == "seed":
-                    meta[key] = int(val)
-                else:
-                    meta[key] = val
+                if key in ("trials", "seed"):
+                    try:
+                        val = int(val)
+                    except ValueError:
+                        raise ConfigError(f"histogram metadata {key!r} must be an integer, got {val!r}") from None
+                meta[key] = val
             continue
         if line == "n,count":
             saw_header = True
@@ -246,6 +245,7 @@ def parse_histogram_csv(text: str) -> PhotonHistogram:
         raise ConfigError("histogram CSV is missing the n,count header")
     if not rows:
         raise ConfigError("histogram CSV has no data rows")
+    trials = meta.pop("trials", None)
     width = max(rows) + 1
     values = tuple(rows.get(n, 0) for n in range(width))
     kind = HistKind.SIMULATED if trials is not None else HistKind.MEASURED

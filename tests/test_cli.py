@@ -52,6 +52,26 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
+def run_process(argv, cwd):
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(ionread.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-m", "ionread.cli", *argv],
+                          capture_output=True, text=True, timeout=120,
+                          cwd=cwd, env=env)
+
+
+REGISTER_CONFIG = {
+    "positions": [[3, 3], [10, 3], [17, 3]],
+    "lambda0": 12.0,
+    "alpha1": 1e-3, "alpha2": 1e-3, "eta": 1.0,
+    "crosstalk_eps": 0.016,
+    "thresholds": [213.5, 251.5, 228.5],
+    "states": "random",
+    "readouts_out": "readouts.csv",
+    "report_out": "report.csv",
+}
+
+
 class TestHelp:
     def test_top_level_help(self, capsys):
         code, out, _ = run(["--help"], capsys)
@@ -264,12 +284,8 @@ class TestCcdSim:
         readouts_path = tmp_path / "readouts.csv"
         report_path = tmp_path / "report.csv"
         cfg = write_config(tmp_path, {
-            "positions": [[3, 3], [10, 3], [17, 3]],
-            "lambda0": 12.0,
-            "alpha1": 1e-3, "alpha2": 1e-3, "eta": 1.0,
+            **REGISTER_CONFIG,
             "crosstalk_eps": 0.0,
-            "thresholds": [213.5, 251.5, 228.5],
-            "states": "random",
             "readouts_out": str(readouts_path),
             "report_out": str(report_path),
         })
@@ -291,6 +307,19 @@ class TestCcdSim:
                            capsys)
         assert code == 2
         assert "readouts_out" in err
+
+    @pytest.mark.parametrize("override, key", [
+        ({"roi_size": 5}, "roi_size"),
+        ({"ccd": {"bin_factor": 2}}, "bin_factor"),
+    ], ids=["roi_size", "ccd.bin_factor"])
+    def test_removed_keys_rejected(self, tmp_path, monkeypatch, capsys,
+                                   override, key):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, {**REGISTER_CONFIG, **override})
+        code, _, err = run(["ccd-sim", "--config", cfg, "--trials", "200"],
+                           capsys)
+        assert code == 2
+        assert f"unknown config key '{key}'" in err
 
 
 class TestCrosstalk:
@@ -348,3 +377,42 @@ class TestExitCodes:
         leftovers = [p for p in tmp_path.iterdir()
                      if p.name.startswith(".ionread-")]
         assert leftovers == []
+
+
+class TestFailureContract:
+    """A failing run exits 1 or 2 with a one-line message, no traceback,
+    and leaves none of its output files behind."""
+
+    @pytest.mark.parametrize("override, trials, code, named", [
+        ({"lambda0": [12, None, 12]}, 200, 2, "lambda0"),
+        ({"states": 7}, 200, 2, "states"),
+        ({"ccd": {"gain_g": -1}}, 200, 2, "gain_g"),
+        ({"ccd": {"gain_g": "high"}}, 200, 2, "ccd.gain_g"),
+        ({"positions": [[2, 3], [10, 3], [17, 3]]}, 200, 2, "positions[0]"),
+        ({"thresholds": ["a", 1, 2]}, 200, 2, "thresholds"),
+        ({"readouts_out": 5}, 200, 2, "readouts_out"),
+        ({"seed": -1}, 200, 1, "seed"),
+        ({}, 50, 1, "100 readouts"),
+    ], ids=["lambda0-null", "states-int", "gain-negative", "gain-string",
+            "roi-left-edge", "threshold-string", "out-int", "seed-negative",
+            "too-few-trials"])
+    def test_ccd_sim(self, tmp_path, override, trials, code, named):
+        cfg = write_config(tmp_path, {**REGISTER_CONFIG, **override})
+        proc = run_process(["ccd-sim", "--config", cfg, "--trials", str(trials)],
+                           tmp_path)
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert named in proc.stderr
+        assert not (tmp_path / "readouts.csv").exists()
+        assert not (tmp_path / "report.csv").exists()
+
+    @pytest.mark.parametrize("meta", ["trials=abc", "trials=100 seed=abc"])
+    def test_fit_bad_histogram_metadata(self, tmp_path, meta):
+        (tmp_path / "dark.csv").write_text(f"# {meta}\nn,count\n0,60\n1,40\n")
+        cfg = write_config(tmp_path, {"dark_csv": "dark.csv", "species": "cd111",
+                                      "scheme": "p32", "tau_d_us": 150.0})
+        proc = run_process(["fit", "--config", cfg, "--out", "fit.txt"], tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert meta.split()[-1].split("=")[0] in proc.stderr
+        assert not (tmp_path / "fit.txt").exists()

@@ -10,7 +10,7 @@ from ionread.detmodel import (
     p_dark,
     pmf_arrays,
 )
-from ionread.errors import DomainError
+from ionread.errors import ConfigError, DomainError
 from ionread.mcsim import (
     CHUNK,
     InitialState,
@@ -199,10 +199,11 @@ class TestCsv:
             "# trials=10\nn,count\n0,-3\n",
             "# trials=10\nn,count\n0,5\n0,5\n",
             "# trials=abc\nn,count\n0,10\n",
+            "# trials=10 seed=abc\nn,count\n0,10\n",
         ],
     )
     def test_parse_rejects_malformed(self, text):
-        with pytest.raises((DomainError, ValueError)):
+        with pytest.raises(ConfigError):
             parse_histogram_csv(text)
 
     def test_total_variation_self_zero(self):
