@@ -35,7 +35,11 @@ import numpy as np
 from .detmodel import LeakParams, analytic_histograms
 from .errors import ConfigError, DomainError
 
-_FRAME_SALT = 0xF0A3_11CE
+# Trials per keyed block of the register stream. BLOCK, the salt and the
+# draw order (random states, then _sampler's draws) are the stream version:
+# change the salt whenever the other two change, so no key spans two layouts.
+BLOCK = 64
+_STREAM_SALT = 0x5EED_0002
 
 
 @dataclass(frozen=True)
@@ -135,6 +139,8 @@ def _check_disjoint(rois) -> None:
 
 def _frame_size(positions, side: int, frame_width, frame_height) -> tuple[int, int]:
     """Frame dimensions; a None one makes room for side x side boxes around the ions."""
+    if len(positions) == 0:
+        raise DomainError("at least one ion position is required")
     margin = side // 2 + 1
     if frame_width is None:
         frame_width = max(int(x) for x, _ in positions) + margin
@@ -183,24 +189,24 @@ class RegisterReadout:
         if self.truth is not None and len(self.truth) != len(self.bits):
             raise DomainError("truth length must match bits")
 
-    @property
-    def bitstring(self) -> str:
-        return "".join(str(b) for b in self.bits)
 
-
-def _frame_rng(seed: int, index: int = 0) -> np.random.Generator:
+def _block_rng(seed: int, block: int = 0) -> np.random.Generator:
     if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
         raise DomainError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
-    key = np.array([seed, (_FRAME_SALT << 32) + index], dtype=np.uint64)
+    key = np.array([seed, (_STREAM_SALT << 32) + block], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
-@lru_cache(maxsize=256)
-def _state_cdf(state: int, lambda0: float, alpha1: float, alpha2: float, eta: float):
-    hist = analytic_histograms(LeakParams(lambda0, alpha1, alpha2), eta)[state]
-    cdf = np.cumsum(hist.values)
-    cdf /= cdf[-1]
-    return cdf
+@lru_cache(maxsize=64)
+def _count_cdfs(per_ion_lambda0: tuple, alpha1: float, alpha2: float, eta: float):
+    """Stacked count CDFs, row 2*i+b for ion i in state b, each shifted up by its row number
+    so one searchsorted of row + u serves every row; and the offsets of each row and the end."""
+    cdfs = []
+    for lam0 in per_ion_lambda0:
+        for hist in analytic_histograms(LeakParams(lam0, alpha1, alpha2), eta):
+            cdf = np.cumsum(hist.values)
+            cdfs.append(cdf / cdf[-1] + len(cdfs))
+    return np.concatenate(cdfs), np.cumsum([0] + [len(cdf) for cdf in cdfs])
 
 
 def _parse_states(states, n_ions: int):
@@ -217,6 +223,56 @@ def _parse_states(states, n_ions: int):
     return bits
 
 
+def _sampler(positions, per_ion_lambda0, leak, eta, ccd, crosstalk_eps, frame_shape, read_pixels):
+    """expose(rng, bits): pixel values of one exposure per row of bits.
+
+    bits is a (trials, ions) 0/1 array; the result has one column per
+    entry of read_pixels (flat row-major indices into the frame_shape
+    frame), in that order. Draws, in this order: a uniform per ion for its
+    photon count; per photon a uniform for its destination (eps to each
+    neighbor), x then y PSF offsets, and an exponential gain; the readout
+    noise of every read pixel.
+    """
+    n_ions = len(positions)
+    if len(per_ion_lambda0) != n_ions:
+        raise DomainError(f"{len(per_ion_lambda0)} light levels for {n_ions} ions")
+    if not 0.0 <= crosstalk_eps < 0.5:
+        raise DomainError(f"crosstalk_eps must be in [0, 0.5), got {crosstalk_eps}")
+    centers = np.array(positions, dtype=np.float64)
+    stack, starts = _count_cdfs(tuple(float(v) for v in per_ion_lambda0), leak.alpha1, leak.alpha2, eta)
+    height, width = frame_shape
+    column = np.full(height * width, -1)
+    column[read_pixels] = np.arange(len(read_pixels))
+
+    def expose(rng, bits):
+        trials = len(bits)
+        rows = 2 * np.arange(n_ions) + bits
+        # rounding row + u up to row + 1 must not step past the row's last bin
+        found = np.searchsorted(stack, rows + rng.random(rows.shape), side="right")
+        counts = np.minimum(found, starts[rows + 1] - 1) - starts[rows]
+        src = np.repeat(np.tile(np.arange(n_ions), trials), counts.ravel())
+        trial = np.repeat(np.arange(trials), counts.sum(axis=1))
+        u = rng.random(src.size)
+        dest = (src - ((u < crosstalk_eps) & (src > 0))
+                + ((u >= crosstalk_eps) & (u < 2 * crosstalk_eps) & (src + 1 < n_ions)))
+        px, py = np.rint(centers[dest].T + rng.normal(0.0, ccd.psf_sigma, (2, src.size))).astype(np.int64)
+        if ccd.gain_dist == "exponential":
+            amounts = rng.exponential(ccd.counts_per_photon, src.size)
+        else:
+            amounts = np.full(src.size, float(ccd.counts_per_photon))
+        inside = (px >= 0) & (px < width) & (py >= 0) & (py < height)
+        col = column[py[inside] * width + px[inside]]
+        hit = col >= 0
+        raw = np.bincount(trial[inside][hit] * len(read_pixels) + col[hit],
+                          weights=amounts[inside][hit], minlength=trials * len(read_pixels))
+        raw = raw.reshape(trials, len(read_pixels)) + ccd.offset
+        if ccd.readout_rms_r > 0:
+            raw += rng.normal(0.0, ccd.readout_rms_r, raw.shape)
+        return np.rint(np.clip(raw, 0.0, None))
+
+    return expose
+
+
 def synthesize_frame(
     states,
     positions: Sequence,
@@ -229,7 +285,6 @@ def synthesize_frame(
     *,
     frame_width: int | None = None,
     frame_height: int | None = None,
-    rng: np.random.Generator | None = None,
 ) -> CcdFrame:
     """One synthetic exposure of a linear register of ions.
 
@@ -239,45 +294,12 @@ def synthesize_frame(
     photons to each adjacent ion's position. The default frame makes room
     for the sqrt(ccd.roi_super_pixels)-sided ROI box around every ion.
     """
-    n_ions = len(positions)
-    if n_ions == 0:
-        raise DomainError("at least one ion position is required")
-    if len(per_ion_lambda0) != n_ions:
-        raise DomainError(f"{len(per_ion_lambda0)} light levels for {n_ions} ions")
-    if not 0.0 <= crosstalk_eps < 0.5:
-        raise DomainError(f"crosstalk_eps must be in [0, 0.5), got {crosstalk_eps}")
-    bits = _parse_states(states, n_ions)
     side = math.isqrt(ccd.roi_super_pixels)
     frame_width, frame_height = _frame_size(positions, side, frame_width, frame_height)
-    if rng is None:
-        rng = _frame_rng(seed)
-
-    centers = np.array(positions, dtype=np.float64)
-    deposits = np.zeros((frame_height, frame_width), dtype=np.float64)
-    for i, (lam0, bit) in enumerate(zip(per_ion_lambda0, bits)):
-        cdf = _state_cdf(bit, float(lam0), leak.alpha1, leak.alpha2, eta)
-        n_phot = int(np.searchsorted(cdf, rng.random(), side="right"))
-        if n_phot == 0:
-            continue
-        # destination ion index per photon: stay, or hop to a neighbor
-        dest = np.full(n_phot, i)
-        u = rng.random(n_phot)
-        if i > 0:
-            dest[u < crosstalk_eps] = i - 1
-        if i + 1 < n_ions:
-            dest[(u >= crosstalk_eps) & (u < 2 * crosstalk_eps)] = i + 1
-        px = np.rint(centers[dest, 0] + rng.normal(0.0, ccd.psf_sigma, n_phot)).astype(np.int64)
-        py = np.rint(centers[dest, 1] + rng.normal(0.0, ccd.psf_sigma, n_phot)).astype(np.int64)
-        if ccd.gain_dist == "exponential":
-            amounts = rng.exponential(ccd.counts_per_photon, n_phot)
-        else:
-            amounts = np.full(n_phot, float(ccd.counts_per_photon))
-        inside = (px >= 0) & (px < frame_width) & (py >= 0) & (py < frame_height)
-        np.add.at(deposits, (py[inside], px[inside]), amounts[inside])
-
-    noise = rng.normal(0.0, ccd.readout_rms_r, deposits.shape) if ccd.readout_rms_r > 0 else 0.0
-    raw = deposits + ccd.offset + noise
-    pixels = np.rint(np.clip(raw, 0.0, None)).astype(np.int64)
+    bits = _parse_states(states, len(positions))
+    expose = _sampler(positions, per_ion_lambda0, leak, eta, ccd, crosstalk_eps,
+                      (frame_height, frame_width), np.arange(frame_height * frame_width))
+    pixels = expose(_block_rng(seed), np.array([bits])).reshape(frame_height, frame_width)
     meta = dict(ccd.to_meta(), seed=seed, crosstalk_eps=crosstalk_eps, states="".join(map(str, bits)))
     return CcdFrame(pixels=pixels, meta=meta)
 
@@ -324,42 +346,41 @@ def simulate_register_batch(
     frame_width: int | None = None,
     frame_height: int | None = None,
 ):
-    """Synthesize and read trials frames; returns the list of readouts.
+    """Synthesize and read trials exposures; returns the list of readouts.
 
     states is either the literal "random" (independent fair coin per ion
-    per trial) or a fixed bit pattern applied to every trial. Each trial
-    has its own counter-derived stream, so results do not depend on
-    evaluation order. Each ion is read through a square ROI box of
+    per trial) or a fixed bit pattern applied to every trial. Trials are
+    drawn in blocks of BLOCK, each from its own generator keyed by (seed,
+    block index), so a seed gives the same readouts within a stream
+    version. Each ion is read through a square ROI box of
     ccd.roi_super_pixels super-pixels, so that count must be a perfect
-    square.
+    square; only the ROI pixels are drawn.
     """
     if not (isinstance(trials, int) and trials >= 1):
         raise DomainError(f"trials must be a positive integer, got {trials!r}")
     side = math.isqrt(ccd.roi_super_pixels)
     if side * side != ccd.roi_super_pixels:
         raise DomainError(f"roi_super_pixels must be a perfect square, got {ccd.roi_super_pixels}")
-    n_ions = len(positions)
     frame_width, frame_height = _frame_size(positions, side, frame_width, frame_height)
-    rois = default_rois(positions, frame_width, frame_height, size=side)
+    n_ions = len(positions)
+    if len(thresholds) != n_ions:
+        raise DomainError(f"{n_ions} ROIs but {len(thresholds)} thresholds")
+    thresholds = tuple(float(t) for t in thresholds)
     fixed = None if states == "random" else _parse_states(states, n_ions)
+    grid = np.arange(frame_height * frame_width).reshape(frame_height, frame_width)
+    read_pixels = np.concatenate([grid[r.y0 : r.y0 + side, r.x0 : r.x0 + side].ravel()
+                                  for r in default_rois(positions, frame_width, frame_height, size=side)])
+    expose = _sampler(positions, per_ion_lambda0, leak, eta, ccd, crosstalk_eps,
+                      (frame_height, frame_width), read_pixels)
     readouts = []
-    for t in range(trials):
-        rng = _frame_rng(seed, t)
-        bits = tuple(int(b) for b in rng.integers(0, 2, n_ions)) if fixed is None else fixed
-        frame = synthesize_frame(
-            bits,
-            positions,
-            per_ion_lambda0,
-            leak,
-            eta,
-            ccd,
-            crosstalk_eps,
-            seed,
-            frame_width=frame_width,
-            frame_height=frame_height,
-            rng=rng,
-        )
-        readouts.append(read_register(frame, rois, thresholds, truth=bits))
+    for block, start in enumerate(range(0, trials, BLOCK)):
+        size = min(BLOCK, trials - start)
+        rng = _block_rng(seed, block)
+        truth = rng.integers(0, 2, (size, n_ions)) if fixed is None else np.broadcast_to(fixed, (size, n_ions))
+        sums = expose(rng, truth).reshape(size, n_ions, -1).sum(axis=2) - ccd.roi_super_pixels * ccd.offset
+        bits = (sums > np.array(thresholds)).astype(int)
+        readouts += [RegisterReadout(roi_sums=tuple(s), thresholds=thresholds, bits=tuple(b), truth=tuple(t))
+                     for s, b, t in zip(sums.tolist(), bits.tolist(), truth.tolist())]
     return readouts
 
 
@@ -378,14 +399,11 @@ def equal_error_threshold(dark_sums, bright_sums) -> float:
     if len(merged) == 1:
         return float(merged[0])
     candidates = (merged[:-1] + merged[1:]) / 2.0
-    best = None
-    for t in candidates:
-        e_dark = float(np.mean(dark > t))
-        e_bright = float(np.mean(bright <= t))
-        key = (abs(e_dark - e_bright), e_dark + e_bright, t)
-        if best is None or key < best[0]:
-            best = (key, t)
-    return float(best[1])
+    e_dark = (len(dark) - np.searchsorted(dark, candidates, side="right")) / len(dark)
+    e_bright = np.searchsorted(bright, candidates, side="right") / len(bright)
+    # lexsort's last key is the primary one; it is stable, so equal keys keep scan order
+    best = np.lexsort((candidates, e_dark + e_bright, np.abs(e_dark - e_bright)))[0]
+    return float(candidates[best])
 
 
 @dataclass(frozen=True)
@@ -409,15 +427,6 @@ class CorrelationReport:
     @property
     def n_ions(self) -> int:
         return len(self.marginals)
-
-    def adjacent_deviations(self) -> list:
-        """Deviations of ordered pairs (i, j) with |i-j| = 1, defined only."""
-        out = []
-        for i in range(self.n_ions):
-            for j in range(self.n_ions):
-                if abs(i - j) == 1 and self.defined[i][j]:
-                    out.append(self.deviation[i][j])
-        return out
 
     def format_csv(self) -> str:
         lines = ["i,j,p_i,p_i_given_j,deviation,stderr,n_cond,defined"]
@@ -456,33 +465,20 @@ def conditional_correlations(readouts) -> CorrelationReport:
         raise DomainError(f"need at least 2 ions, got {n_ions}")
     marginals = bits.mean(axis=0)
     cond_counts = bits.sum(axis=0)
-    deviation = [[float("nan")] * n_ions for _ in range(n_ions)]
-    stderr = [[float("nan")] * n_ions for _ in range(n_ions)]
-    cond_probs = [[float("nan")] * n_ions for _ in range(n_ions)]
-    defined = [[False] * n_ions for _ in range(n_ions)]
-    for j in range(n_ions):
-        nj = int(cond_counts[j])
-        if nj == 0:
-            continue
-        sel = bits[bits[:, j] == 1]
-        for i in range(n_ions):
-            if i == j:
-                continue
-            p_cond = float(sel[:, i].mean())
-            p_marg = float(marginals[i])
-            deviation[i][j] = abs(p_cond - p_marg)
-            cond_probs[i][j] = p_cond
-            var = p_marg * (1.0 - p_marg) * max(1.0 / nj - 1.0 / n_trials, 0.0)
-            stderr[i][j] = math.sqrt(var)
-            defined[i][j] = True
+    # entry [i, j] conditions ion i on bit_j = 1
+    defined = (cond_counts > 0) & ~np.eye(n_ions, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond_probs = np.where(defined, (bits.T @ bits) / cond_counts, np.nan)
+        var = (marginals * (1.0 - marginals))[:, None] * np.maximum(1.0 / cond_counts - 1.0 / n_trials, 0.0)
+        stderr = np.where(defined, np.sqrt(var), np.nan)
     return CorrelationReport(
         n_trials=n_trials,
-        marginals=tuple(float(m) for m in marginals),
-        cond_probs=tuple(tuple(row) for row in cond_probs),
-        deviation=tuple(tuple(row) for row in deviation),
-        stderr=tuple(tuple(row) for row in stderr),
-        cond_counts=tuple(int(c) for c in cond_counts),
-        defined=tuple(tuple(row) for row in defined),
+        marginals=tuple(marginals.tolist()),
+        cond_probs=tuple(map(tuple, cond_probs.tolist())),
+        deviation=tuple(map(tuple, np.abs(cond_probs - marginals[:, None]).tolist())),
+        stderr=tuple(map(tuple, stderr.tolist())),
+        cond_counts=tuple(cond_counts.tolist()),
+        defined=tuple(map(tuple, defined.tolist())),
     )
 
 

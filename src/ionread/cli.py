@@ -303,6 +303,9 @@ def _cmd_fit(args) -> int:
     )
     if "dark_csv" not in doc:
         raise ConfigError("config key 'dark_csv' is required")
+    for key in ("dark_csv", "bright_csv", "model_csv"):
+        if not isinstance(doc.get(key, ""), str):
+            raise ConfigError(f"config key {key!r} must be a file path, got {doc[key]!r}")
     species = _resolve_species(args, doc)
     scheme = _resolve_scheme(args, doc)
     tau_d = 1e-6 * _number(doc, "tau_d_us", required=True)
@@ -312,10 +315,11 @@ def _cmd_fit(args) -> int:
     dark = read_histogram_csv(doc["dark_csv"])
     bright = read_histogram_csv(doc["bright_csv"]) if doc.get("bright_csv") else None
     result = fit_histograms(dark, bright, species, tau_d, fit_background=fit_background, scheme=scheme)
-    _emit(format_fit_result(result), args.out)
+    # the model file first: it can still fail, and a printed result cannot be taken back
     if doc.get("model_csv"):
         rows = model_vs_data_rows(result, dark, bright, species, tau_d, scheme=scheme)
         _atomic_write(doc["model_csv"], format_model_csv(rows))
+    _emit(format_fit_result(result), args.out)
     return 0
 
 

@@ -4,6 +4,8 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ionread.ccd import (
     CcdParams,
@@ -20,7 +22,7 @@ from ionread.ccd import (
     synthesize_frame,
     write_pgm,
 )
-from ionread.detmodel import LeakParams
+from ionread.detmodel import LeakParams, pmf_arrays
 from ionread.errors import ConfigError, DomainError
 from ionread.fidelity import floor_leak_ratios, optimize_at
 
@@ -125,6 +127,10 @@ class TestRoiGeometry:
                 5, POS3, [12.0] * 3, LEAK, 1.0, CcdParams(roi_super_pixels=k),
                 0.0, [0.0] * 3, 3)
 
+    def test_register_rejects_empty_positions(self):
+        with pytest.raises(DomainError, match="ion position"):
+            simulate_register_batch(5, [], [], LEAK, 1.0, CcdParams(), 0.0, [], 1)
+
     def test_roi_validation(self):
         with pytest.raises(DomainError):
             Roi(x0=-1, y0=0, width=7, height=7)
@@ -159,16 +165,52 @@ class TestFrameSynthesis:
         expect = 12.0 * ccd.counts_per_photon
         assert abs(mean - expect) / expect < 0.02
 
+    @pytest.mark.parametrize("gain_dist, psf_sigma, eps, states", [
+        ("exponential", 1.0, 0.0, "111"),
+        ("exponential", 1.5, 0.05, "101"),
+        ("fixed", 1.5, 0.05, "110"),
+        ("fixed", 1.0, 0.0, "011"),
+    ])
+    def test_mean_roi_sums_match_oracle(self, gain_dist, psf_sigma, eps, states):
+        # mean ROI sum of ion j: counts_per_photon * sum_i E[n_i | bit_i]
+        # * sum_d w_id * p_box(d, j), where w routes eps of each ion's
+        # photons to each neighbor d and p_box(d, j) is the PSF mass around
+        # ion d that rounds into ion j's box
+        ccd = CcdParams(gain_dist=gain_dist, psf_sigma=psf_sigma)
+        lam = [12.0, 15.6, 9.0]
+        trials = 20000
+        readouts = simulate_register_batch(
+            trials, POS3, lam, LEAK, 1.0, ccd, eps, [0.0] * 3, 606, states=states)
+        mean_n = []
+        for lam0, bit in zip(lam, states):
+            pmf = pmf_arrays(LeakParams(lam0, LEAK.alpha1, LEAK.alpha2), 1.0)[int(bit)]
+            mean_n.append(float(np.dot(np.arange(len(pmf)), pmf)))
+        weights = np.diag([1.0 - eps, 1.0 - 2 * eps, 1.0 - eps])
+        weights += eps * (np.eye(3, k=1) + np.eye(3, k=-1))
+
+        def mass(lo, width, center):
+            # PSF mass of one axis that rounds into lo .. lo + width - 1
+            z = [(center - v) / (psf_sigma * math.sqrt(2)) for v in (lo - 0.5, lo + width - 0.5)]
+            return 0.5 * (math.erfc(z[1]) - math.erfc(z[0]))
+
+        for j, roi in enumerate(default_rois(POS3, 21, 7)):
+            p_box = [mass(roi.x0, roi.width, x) * mass(roi.y0, roi.height, y) for x, y in POS3]
+            expect = ccd.counts_per_photon * sum(
+                mean_n[i] * weights[i, d] * p_box[d] for i in range(3) for d in range(3))
+            sums = [r.roi_sums[j] for r in readouts]
+            stderr = statistics.stdev(sums) / math.sqrt(trials)
+            assert abs(statistics.fmean(sums) - expect) < 5 * stderr, (j, expect)
+
     @pytest.mark.parametrize("args, digest", [
-        # seeded readouts are bit-reproducible across releases: any change
-        # in the random draw order changes these digests
+        # seeded readouts are frozen per stream version: any change in the
+        # block layout or the random draw order changes these digests
         ((500, POS3, [12.0, 15.6, 9.0], CcdParams(), 0.016,
           [213.5, 251.5, 228.5], 777, "random"),
-         "93f597022b659f2e04bde98823ec400e32bf31a9ba38ee3ea0559556b6dc9f25"),
+         "d655e790f1aaf81b0765592b0744d8a72793b835b07f38d8be6fede1b7df19be"),
         ((300, [(3, 3), (10, 3)], [12.0, 20.0],
           CcdParams(gain_dist="fixed", psf_sigma=0.7), 0.05, [213.5, 251.5], 5,
           "10"),
-         "401b282fd6b308b6f2a6da01f98b0f65f58bec697aa7c1dd6e67e8dd86d0d247"),
+         "963968151c83ce53d03a75967bc78df00e70d2d62cba3ce74c4146c97e784555"),
     ], ids=["random-unequal-light", "fixed-gain-states"])
     def test_seeded_readouts_frozen(self, args, digest):
         trials, positions, lam, ccd, eps, thresholds, seed, states = args
@@ -272,7 +314,34 @@ class TestPgm:
             read_pgm(path)
 
 
+def equal_error_threshold_loop(dark_sums, bright_sums) -> float:
+    """Reference: the candidate-by-candidate scan equal_error_threshold replaces."""
+    dark = np.sort(np.asarray(dark_sums, dtype=np.float64))
+    bright = np.sort(np.asarray(bright_sums, dtype=np.float64))
+    merged = np.unique(np.concatenate([dark, bright]))
+    if len(merged) == 1:
+        return float(merged[0])
+    best = None
+    for t in (merged[:-1] + merged[1:]) / 2.0:
+        e_dark = float(np.mean(dark > t))
+        e_bright = float(np.mean(bright <= t))
+        key = (abs(e_dark - e_bright), e_dark + e_bright, t)
+        if best is None or key < best[0]:
+            best = (key, t)
+    return float(best[1])
+
+
 class TestThresholdTraining:
+    @settings(max_examples=300)
+    @given(st.lists(st.integers(0, 12), min_size=1, max_size=40),
+           st.lists(st.integers(0, 12), min_size=1, max_size=40),
+           st.sampled_from([0.5, 1.0, 7.25]))
+    def test_matches_reference_loop(self, dark, bright, scale):
+        # few distinct values, so ties in both keys are common
+        dark = [scale * v for v in dark]
+        bright = [scale * v for v in bright]
+        assert equal_error_threshold(dark, bright) == equal_error_threshold_loop(dark, bright)
+
     def test_equal_error_threshold_separates(self):
         dark = [10.0, 12.0, 15.0, 20.0, 30.0]
         bright = [100.0, 110.0, 120.0, 130.0, 90.0]
@@ -337,6 +406,9 @@ class TestCrosstalkScenario:
 
     EPS = 0.016
     THRESH = [213.5, 251.5, 228.5]
+    # what _train returns, frozen per stream version; THRESH, the frozen
+    # acceptance fixture, was trained on an earlier stream version
+    TRAINED = [241.5, 215.5, 260.5]
 
     @staticmethod
     def _train():
@@ -353,7 +425,7 @@ class TestCrosstalkScenario:
         ]
 
     def test_trained_thresholds_frozen(self):
-        assert self._train() == pytest.approx(self.THRESH, abs=0.51)
+        assert self._train() == pytest.approx(self.TRAINED, abs=0.51)
 
     def test_correlations_and_fidelity(self):
         readouts = simulate_register_batch(

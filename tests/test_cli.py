@@ -416,3 +416,18 @@ class TestFailureContract:
         assert "Traceback" not in proc.stderr
         assert meta.split()[-1].split("=")[0] in proc.stderr
         assert not (tmp_path / "fit.txt").exists()
+
+    @pytest.mark.parametrize("override, key", [
+        ({"dark_csv": 5}, "dark_csv"),
+        ({"bright_csv": ["bright.csv"]}, "bright_csv"),
+        ({"model_csv": 7}, "model_csv"),
+    ], ids=["dark-int", "bright-list", "model-int"])
+    def test_fit_file_keys(self, tmp_path, override, key):
+        (tmp_path / "dark.csv").write_text("# trials=100\nn,count\n0,60\n1,40\n")
+        cfg = write_config(tmp_path, {"dark_csv": "dark.csv", "species": "cd111",
+                                      "scheme": "p32", "tau_d_us": 150.0, **override})
+        proc = run_process(["fit", "--config", cfg, "--out", "fit.txt"], tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert f"config key '{key}'" in proc.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "dark.csv"]
