@@ -31,11 +31,7 @@ def train_thresholds(lambda0, leak, eps, trials, seed):
     dark = simulate_register_batch(
         trials, POSITIONS, [lambda0] * 3, leak, 1.0, CcdParams(), eps,
         [1e18] * 3, seed + 1, states="000")
-    return [
-        equal_error_threshold(
-            [r.roi_sums[i] for r in dark], [r.roi_sums[i] for r in bright])
-        for i in range(3)
-    ]
+    return [equal_error_threshold(dark.roi_sums[:, i], bright.roi_sums[:, i]) for i in range(3)]
 
 
 def evaluate(lambda0, leak, eps, thresholds, trials, seed):
@@ -44,10 +40,7 @@ def evaluate(lambda0, leak, eps, thresholds, trials, seed):
         thresholds, seed, states="random")
     rep = conditional_correlations(readouts)
     adjacent = [rep.deviation[i][j] for i, j in ((0, 1), (1, 0), (1, 2), (2, 1))]
-    fidelities = [
-        sum(1 for r in readouts if r.bits[ion] == r.truth[ion]) / len(readouts)
-        for ion in range(3)
-    ]
+    fidelities = (readouts.bits == readouts.truth).mean(axis=0)
     return statistics.fmean(adjacent), statistics.fmean(fidelities)
 
 

@@ -27,13 +27,14 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import Sequence
 
 import numpy as np
 
 from .detmodel import LeakParams, analytic_histograms
 from .errors import ConfigError, DomainError
+from .mcsim import _keyed_rng
 
 # Trials per keyed block of the register stream. BLOCK, the salt and the
 # draw order (random states, then _sampler's draws) are the stream version:
@@ -171,30 +172,28 @@ class CcdFrame:
         return self.pixels.shape[1]
 
 
-@dataclass(frozen=True)
-class RegisterReadout:
-    """Per-ion background-subtracted ROI sums and their thresholded bits."""
+@dataclass(slots=True, eq=False)
+class RegisterBatch:
+    """Per-trial, per-ion background-subtracted ROI sums, their thresholded
+    bits and the true states (None when unknown), as (trials, ions) columns.
 
-    roi_sums: tuple
-    thresholds: tuple
-    bits: tuple
-    truth: tuple | None = None
+    len() counts trials; batch[k] is trial k's per-ion row and a slice is a
+    smaller batch. Iteration yields one row per trial with list columns.
+    """
 
-    def __post_init__(self):
-        if len(self.roi_sums) != len(self.thresholds) or len(self.roi_sums) != len(self.bits):
-            raise DomainError("roi_sums, thresholds and bits must have equal length")
-        for s, t, b in zip(self.roi_sums, self.thresholds, self.bits):
-            if b != (1 if s > t else 0):
-                raise DomainError("bits must equal (roi_sum > threshold)")
-        if self.truth is not None and len(self.truth) != len(self.bits):
-            raise DomainError("truth length must match bits")
+    roi_sums: np.ndarray
+    bits: np.ndarray
+    truth: np.ndarray | None
 
+    def __len__(self) -> int:
+        return len(self.roi_sums)
 
-def _block_rng(seed: int, block: int = 0) -> np.random.Generator:
-    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
-        raise DomainError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
-    key = np.array([seed, (_STREAM_SALT << 32) + block], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    def __getitem__(self, key) -> RegisterBatch:
+        return RegisterBatch(self.roi_sums[key], self.bits[key], None if self.truth is None else self.truth[key])
+
+    def __iter__(self):
+        truth = repeat(None) if self.truth is None else self.truth.tolist()
+        return map(RegisterBatch, self.roi_sums.tolist(), self.bits.tolist(), truth)
 
 
 @lru_cache(maxsize=64)
@@ -299,17 +298,17 @@ def synthesize_frame(
     bits = _parse_states(states, len(positions))
     expose = _sampler(positions, per_ion_lambda0, leak, eta, ccd, crosstalk_eps,
                       (frame_height, frame_width), np.arange(frame_height * frame_width))
-    pixels = expose(_block_rng(seed), np.array([bits])).reshape(frame_height, frame_width)
+    pixels = expose(_keyed_rng(seed, _STREAM_SALT, 0), np.array([bits])).reshape(frame_height, frame_width)
     meta = dict(ccd.to_meta(), seed=seed, crosstalk_eps=crosstalk_eps, states="".join(map(str, bits)))
     return CcdFrame(pixels=pixels, meta=meta)
 
 
-def read_register(frame: CcdFrame, rois: Sequence[Roi], thresholds: Sequence[float], truth=None) -> RegisterReadout:
-    """Background-subtracted ROI sums thresholded into a bitstring.
+def read_register(frame: CcdFrame, rois: Sequence[Roi], thresholds: Sequence[float], truth=None) -> RegisterBatch:
+    """Background-subtracted ROI sums of one frame thresholded into bits, as a one-trial batch.
 
     The pedestal is taken from the frame metadata and one offset per
     super-pixel is subtracted; a sum strictly above its threshold reads as
-    bright.
+    bright. truth, if given, is the frame's states as for synthesize_frame.
     """
     if len(rois) != len(thresholds):
         raise DomainError(f"{len(rois)} ROIs but {len(thresholds)} thresholds")
@@ -318,17 +317,10 @@ def read_register(frame: CcdFrame, rois: Sequence[Roi], thresholds: Sequence[flo
             raise DomainError(f"ROI {i} exceeds the {frame.width}x{frame.height} frame")
     _check_disjoint(rois)
     offset = float(frame.meta.get("offset", 0.0))
-    sums = []
-    for roi in rois:
-        block = frame.pixels[roi.y0 : roi.y0 + roi.height, roi.x0 : roi.x0 + roi.width]
-        sums.append(float(block.sum()) - roi.pixel_count * offset)
-    bits = tuple(1 if s > t else 0 for s, t in zip(sums, thresholds))
-    return RegisterReadout(
-        roi_sums=tuple(sums),
-        thresholds=tuple(float(t) for t in thresholds),
-        bits=bits,
-        truth=None if truth is None else tuple(truth),
-    )
+    sums = np.array([[frame.pixels[r.y0 : r.y0 + r.height, r.x0 : r.x0 + r.width].sum()
+                      - r.pixel_count * offset for r in rois]], dtype=np.float64)
+    bits = (sums > np.array(thresholds, dtype=np.float64)).astype(int)
+    return RegisterBatch(sums, bits, None if truth is None else np.array([_parse_states(truth, len(rois))]))
 
 
 def simulate_register_batch(
@@ -346,7 +338,7 @@ def simulate_register_batch(
     frame_width: int | None = None,
     frame_height: int | None = None,
 ):
-    """Synthesize and read trials exposures; returns the list of readouts.
+    """Synthesize and read trials exposures into one RegisterBatch.
 
     states is either the literal "random" (independent fair coin per ion
     per trial) or a fixed bit pattern applied to every trial. Trials are
@@ -356,7 +348,7 @@ def simulate_register_batch(
     ccd.roi_super_pixels super-pixels, so that count must be a perfect
     square; only the ROI pixels are drawn.
     """
-    if not (isinstance(trials, int) and trials >= 1):
+    if isinstance(trials, bool) or not (isinstance(trials, int) and trials >= 1):
         raise DomainError(f"trials must be a positive integer, got {trials!r}")
     side = math.isqrt(ccd.roi_super_pixels)
     if side * side != ccd.roi_super_pixels:
@@ -365,23 +357,21 @@ def simulate_register_batch(
     n_ions = len(positions)
     if len(thresholds) != n_ions:
         raise DomainError(f"{n_ions} ROIs but {len(thresholds)} thresholds")
-    thresholds = tuple(float(t) for t in thresholds)
+    thresholds = np.array(thresholds, dtype=np.float64)
     fixed = None if states == "random" else _parse_states(states, n_ions)
     grid = np.arange(frame_height * frame_width).reshape(frame_height, frame_width)
     read_pixels = np.concatenate([grid[r.y0 : r.y0 + side, r.x0 : r.x0 + side].ravel()
                                   for r in default_rois(positions, frame_width, frame_height, size=side)])
     expose = _sampler(positions, per_ion_lambda0, leak, eta, ccd, crosstalk_eps,
                       (frame_height, frame_width), read_pixels)
-    readouts = []
+    sums, truth = [], []
     for block, start in enumerate(range(0, trials, BLOCK)):
         size = min(BLOCK, trials - start)
-        rng = _block_rng(seed, block)
-        truth = rng.integers(0, 2, (size, n_ions)) if fixed is None else np.broadcast_to(fixed, (size, n_ions))
-        sums = expose(rng, truth).reshape(size, n_ions, -1).sum(axis=2) - ccd.roi_super_pixels * ccd.offset
-        bits = (sums > np.array(thresholds)).astype(int)
-        readouts += [RegisterReadout(roi_sums=tuple(s), thresholds=thresholds, bits=tuple(b), truth=tuple(t))
-                     for s, b, t in zip(sums.tolist(), bits.tolist(), truth.tolist())]
-    return readouts
+        rng = _keyed_rng(seed, _STREAM_SALT, block)
+        truth.append(rng.integers(0, 2, (size, n_ions)) if fixed is None else np.broadcast_to(fixed, (size, n_ions)))
+        sums.append(expose(rng, truth[-1]).reshape(size, n_ions, -1).sum(axis=2))
+    sums = np.concatenate(sums) - ccd.roi_super_pixels * ccd.offset
+    return RegisterBatch(sums, (sums > thresholds).astype(int), np.concatenate(truth))
 
 
 def equal_error_threshold(dark_sums, bright_sums) -> float:
@@ -450,16 +440,16 @@ class CorrelationReport:
         return "\n".join(lines) + "\n"
 
 
-def conditional_correlations(readouts) -> CorrelationReport:
-    """Measure inter-ion readout correlations from a batch of readouts.
+def conditional_correlations(batch: RegisterBatch) -> CorrelationReport:
+    """Measure inter-ion readout correlations from the bits of a register batch.
 
     Requires at least two ions and 100 readouts. Entries conditioned on
     an event that never occurred are flagged undefined (NaN), since
     absence of evidence is not evidence of independence.
     """
-    if len(readouts) < 100:
-        raise DomainError(f"need at least 100 readouts, got {len(readouts)}")
-    bits = np.array([r.bits for r in readouts], dtype=np.int64)
+    if len(batch) < 100:
+        raise DomainError(f"need at least 100 readouts, got {len(batch)}")
+    bits = np.asarray(batch.bits, dtype=np.int64)
     n_trials, n_ions = bits.shape
     if n_ions < 2:
         raise DomainError(f"need at least 2 ions, got {n_ions}")
@@ -493,12 +483,13 @@ def crosstalk_ratio(wavelength: float, spacing: float) -> float:
     return 3.0 * wavelength**2 / (4.0 * math.pi * spacing**2)
 
 
-def format_readouts_csv(readouts) -> str:
-    lines = ["trial,ion,roi_sum,bit"]
-    for t, r in enumerate(readouts):
-        for i, (s, b) in enumerate(zip(r.roi_sums, r.bits)):
-            lines.append("%d,%d,%.9g,%d" % (t, i, s, b))
-    return "\n".join(lines) + "\n"
+def format_readouts_csv(batch: RegisterBatch) -> str:
+    """trial,ion,roi_sum,bit rows, trial-major."""
+    trials, n_ions = batch.roi_sums.shape
+    columns = (np.repeat(np.arange(trials), n_ions), np.tile(np.arange(n_ions), trials),
+               batch.roi_sums.ravel(), batch.bits.ravel())
+    rows = map("%d,%d,%.9g,%d".__mod__, zip(*(c.tolist() for c in columns)))
+    return "\n".join(["trial,ion,roi_sum,bit", *rows]) + "\n"
 
 
 def write_pgm(path, frame: CcdFrame) -> None:

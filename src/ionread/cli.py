@@ -373,7 +373,7 @@ def _cmd_ccd_sim(args) -> int:
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
     eta = args.eta if args.eta is not None else _number(doc, "eta", default=1.0)
-    readouts = simulate_register_batch(
+    batch = simulate_register_batch(
         _int_option(args, doc, "trials", required=True),
         positions,
         per_ion,
@@ -388,8 +388,8 @@ def _cmd_ccd_sim(args) -> int:
         frame_height=_int_option(args, doc, "frame_height"),
     )
     # built before the first write, so a register it rejects leaves no file
-    report = conditional_correlations(readouts)
-    _atomic_write(readouts_out, format_readouts_csv(readouts))
+    report = conditional_correlations(batch)
+    _atomic_write(readouts_out, format_readouts_csv(batch))
     _emit(report.format_csv(), doc.get("report_out"))
     return 0
 
@@ -453,11 +453,11 @@ def run_command(argv) -> int:
     except ConfigError as exc:
         print(f"ionread: config error: {exc}", file=sys.stderr)
         return 2
-    except IonReadError as exc:
+    except (IonReadError, OSError) as exc:
         print(f"ionread: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"ionread: {exc}", file=sys.stderr)
+    except MemoryError as exc:
+        print("ionread: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 1
 
 

@@ -65,11 +65,15 @@ class McConfig:
         object.__setattr__(self, "initial", InitialState(self.initial))
 
 
-def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    # 2-word Philox key: the salt keeps chunk streams from colliding with
-    # any other keyed use of the same seed
-    key = np.array([seed, (_KEY_SALT << 32) + chunk_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _keyed_rng(seed: int, salt: int, index: int) -> np.random.Generator:
+    """Generator of block index of a seeded stream, keyed by [seed, (salt << 32) + index].
+
+    Each keyed use of a seed (the MC chunks, the register blocks) has its
+    own salt, so no two uses share a key.
+    """
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
+        raise DomainError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+    return np.random.Generator(np.random.Philox(key=np.array([seed, (salt << 32) + index], dtype=np.uint64)))
 
 
 def _leak_fraction(params: LeakParams, eta: float, which: InitialState) -> float:
@@ -127,7 +131,7 @@ def _chunk_counts(params: LeakParams, eta: float, config: McConfig, chunk_index:
     if not 0 <= start < config.trials:
         raise DomainError(f"chunk {chunk_index} is out of range for {config.trials} trials")
     size = min(CHUNK, config.trials - start)
-    rng = _chunk_rng(config.seed, chunk_index)
+    rng = _keyed_rng(config.seed, _KEY_SALT, chunk_index)
     if config.mode is McMode.RATE_EQUATION:
         counts, no_leak = _rate_equation_chunk(rng, size, params, eta, config.initial)
     else:

@@ -127,6 +127,12 @@ class TestRoiGeometry:
                 5, POS3, [12.0] * 3, LEAK, 1.0, CcdParams(roi_super_pixels=k),
                 0.0, [0.0] * 3, 3)
 
+    @pytest.mark.parametrize("trials", [0, -3, 2.0, True])
+    def test_register_rejects_bad_trials(self, trials):
+        with pytest.raises(DomainError, match="trials"):
+            simulate_register_batch(
+                trials, POS3, [12.0] * 3, LEAK, 1.0, CcdParams(), 0.0, [0.0] * 3, 3)
+
     def test_register_rejects_empty_positions(self):
         with pytest.raises(DomainError, match="ion position"):
             simulate_register_batch(5, [], [], LEAK, 1.0, CcdParams(), 0.0, [], 1)
@@ -263,16 +269,18 @@ class TestReadRegister:
             crosstalk_eps=0.0, seed=2)
         rois = default_rois(POS3, frame.width, frame.height)
         out = read_register(frame, rois, [0.0, 0.0, 0.0])
-        assert out.roi_sums == (0.0, 0.0, 0.0)
-        assert out.bits == (0, 0, 0)
+        assert out.roi_sums.tolist() == [[0.0, 0.0, 0.0]]
+        assert out.bits.tolist() == [[0, 0, 0]]
+        assert out.truth is None
 
     def test_infinite_threshold_all_dark(self):
         frame = synthesize_frame(
             states="111", positions=POS3, per_ion_lambda0=[12.0] * 3,
             leak=LEAK, eta=1.0, ccd=CcdParams(), crosstalk_eps=0.0, seed=3)
         rois = default_rois(POS3, frame.width, frame.height)
-        out = read_register(frame, rois, [math.inf] * 3)
-        assert out.bits == (0, 0, 0)
+        out = read_register(frame, rois, [math.inf] * 3, truth="111")
+        assert out.bits.tolist() == [[0, 0, 0]]
+        assert out.truth.tolist() == [[1, 1, 1]]
 
     def test_all_bright_error_rate(self):
         # exponential gain spread makes the bright tail wide, so the
@@ -292,6 +300,39 @@ class TestReadRegister:
             frame_width=21, frame_height=7)
         with pytest.raises((DomainError, ConfigError)):
             read_register(frame, [Roi(x0=18, y0=0, width=7, height=7)], [0.0])
+
+
+class TestRegisterBatch:
+    @pytest.mark.parametrize("offset", [20.0, 20.37])
+    def test_bits_threshold_the_sums(self, offset):
+        # inside the bright sums' spread, so most thresholds split some trials
+        thresholds = [400.0, 1200.0, 800.0]
+        batch = simulate_register_batch(
+            300, POS3, [12.0, 15.6, 9.0], LEAK, 1.0, CcdParams(offset=offset),
+            0.016, thresholds, 777)
+        assert batch.roi_sums.shape == batch.bits.shape == batch.truth.shape == (300, 3)
+        assert np.array_equal(batch.bits, batch.roi_sums > np.array(thresholds))
+        # a non-integral pedestal leaves fractional sums
+        assert np.any(batch.roi_sums % 1 != 0) == (offset % 1 != 0)
+
+    def test_rows_and_slices_match_columns(self):
+        batch = simulate_register_batch(
+            150, POS3, [12.0] * 3, LEAK, 1.0, CcdParams(), 0.016, [600.0] * 3, 9)
+        rows = list(batch)
+        assert len(batch) == len(rows) == 150
+        for k in (0, 64, 149):
+            for name in ("roi_sums", "bits", "truth"):
+                column = getattr(batch, name)
+                assert getattr(rows[k], name) == column[k].tolist()
+                assert np.array_equal(getattr(batch[k], name), column[k])
+        part = batch[10:110]
+        assert len(part) == 100
+        assert np.array_equal(part.roi_sums, batch.roi_sums[10:110])
+        assert np.array_equal(part.truth, batch.truth[10:110])
+        assert conditional_correlations(part).n_trials == 100
+        assert format_readouts_csv(part) == "trial,ion,roi_sum,bit\n" + "".join(
+            "%d,%d,%.9g,%d\n" % (t, i, s, b) for t, r in enumerate(rows[10:110])
+            for i, (s, b) in enumerate(zip(r.roi_sums, r.bits)))
 
 
 class TestPgm:

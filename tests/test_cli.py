@@ -379,6 +379,27 @@ class TestExitCodes:
         assert leftovers == []
 
 
+class TestOutOfMemory:
+    @pytest.fixture(params=["compute", "write"])
+    def raise_memory_error(self, request, monkeypatch):
+        def fail(*args, **kwargs):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+        if request.param == "compute":
+            monkeypatch.setattr(ionread.cli, "pmf_arrays", fail)
+        else:
+            monkeypatch.setattr(ionread.cli.os, "replace", fail)
+
+    def test_exit_1_one_line_no_output(self, tmp_path, capsys, raise_memory_error):
+        cfg = write_config(tmp_path, {"lambda0": 6.0, "alpha1": 0.0,
+                                      "alpha2": 0.0, "eta": 1.0})
+        code, out, err = run(["dist", "--config", cfg, "--out", str(tmp_path / "dist.csv")],
+                             capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "ionread: out of memory: Unable to allocate 745. GiB for an array\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
 class TestFailureContract:
     """A failing run exits 1 or 2 with a one-line message, no traceback,
     and leaves none of its output files behind."""
