@@ -138,6 +138,10 @@ def _check_disjoint(rois) -> None:
             raise ConfigError(f"ROIs for ions {i} and {j} overlap")
 
 
+MAX_PIXELS = 2**22  # a 2048 x 2048 frame; frames and the pixel index are allocated per pixel
+MAX_READOUTS = 2**20  # trials x ions of one register batch, held as columns and as CSV rows
+
+
 def _frame_size(positions, side: int, frame_width, frame_height) -> tuple[int, int]:
     """Frame dimensions; a None one makes room for side x side boxes around the ions."""
     if len(positions) == 0:
@@ -147,6 +151,9 @@ def _frame_size(positions, side: int, frame_width, frame_height) -> tuple[int, i
         frame_width = max(int(x) for x, _ in positions) + margin
     if frame_height is None:
         frame_height = max(int(y) for _, y in positions) + margin
+    if min(frame_width, frame_height) < 1 or frame_width * frame_height > MAX_PIXELS:
+        raise ConfigError(f"the {frame_width}x{frame_height} frame set by frame_width, frame_height or "
+                          f"positions must hold 1 to {MAX_PIXELS} pixels")
     return frame_width, frame_height
 
 
@@ -350,6 +357,8 @@ def simulate_register_batch(
     """
     if isinstance(trials, bool) or not (isinstance(trials, int) and trials >= 1):
         raise DomainError(f"trials must be a positive integer, got {trials!r}")
+    if trials * len(positions) > MAX_READOUTS:
+        raise ConfigError(f"{trials} trials of {len(positions)} ions exceed the cap of {MAX_READOUTS} readouts")
     side = math.isqrt(ccd.roi_super_pixels)
     if side * side != ccd.roi_super_pixels:
         raise DomainError(f"roi_super_pixels must be a perfect square, got {ccd.roi_super_pixels}")

@@ -3,10 +3,12 @@
 Nine subcommands cover the analytic distributions (params, dist), the
 fidelity study (optimize, curve, table1), the Monte Carlo oracle (mc),
 histogram fitting (fit), and the imager model (ccd-sim, crosstalk).
-Inputs arrive as flags plus an optional JSON config document whose keys
-carry units in their names (tau_d_us, delta_mhz, wavelength_nm); every
-unknown key is rejected by name. Exit codes: 0 success, 2 validation
-error, 1 runtime error. Output files are written atomically.
+Inputs arrive as flags plus an optional JSON config document, checked
+against one key table per subcommand; the flags and the --help key
+listing come from the same table. Keys carry units in their names
+(tau_d_us, delta_mhz, wavelength_nm) and are converted to SI by that
+suffix; every unknown key is rejected by name. Exit codes: 0 success, 2
+validation error, 1 runtime error. Output files are written atomically.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import math
 import os
 import sys
 import tempfile
+from typing import Callable, NamedTuple
 
 from .angular import Scheme
 from .ccd import (
@@ -27,10 +30,13 @@ from .ccd import (
     simulate_register_batch,
 )
 from .detmodel import (
+    MAX_BINS,
     DetectionConfig,
     LeakParams,
+    _leak_fractions,
     detection_params,
     get_species,
+    histogram_cutoff,
     pmf_arrays,
     species_from_dict,
 )
@@ -89,108 +95,130 @@ def _load_config(path) -> dict:
     return doc
 
 
-def _check_keys(doc: dict, allowed, command: str) -> None:
-    unknown = set(doc) - set(allowed)
-    if unknown:
-        raise ConfigError(
-            f"unknown config key {sorted(unknown)[0]!r} for command {command!r}"
-        )
+# Value parsers: each returns the parsed value, raises TypeError or
+# ValueError for a wrong shape, which its docstring names in messages and
+# --help, or passes on the library's DomainError. Ranges are the library's.
 
 
-def _as_number(key: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
-    return float(value)
+def _parser(doc: str, accepts=None, convert=None):
+    """The parser named doc: the value, or convert(value), if accepts(value)."""
+    def parse(value):
+        if accepts and not accepts(value):
+            raise TypeError
+        return convert(value) if convert else value
+
+    parse.__doc__ = doc
+    return parse
 
 
-def _as_int(key: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
-    return value
+_real = _parser("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), float)
+_integer = _parser("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
+_boolean = _parser("true or false", lambda v: isinstance(v, bool))
+_text = _parser("a string", lambda v: isinstance(v, str))
+_path = _parser("a file path", lambda v: isinstance(v, str))
+_numbers = _parser("a non-empty list of numbers", lambda v: isinstance(v, list) and len(v) > 0,
+                   lambda v: [_real(x) for x in v])
+_per_ion = _parser("a number or a list of one number per ion",
+                   convert=lambda v: _numbers(v) if isinstance(v, list) else _real(v))
+_positions = _parser("a non-empty list of [x, y] pairs",
+                     lambda v: isinstance(v, list) and len(v) > 0
+                     and all(isinstance(xy, list) and len(xy) == 2 for xy in v),
+                     lambda v: [(_integer(x), _integer(y)) for x, y in v])
+_states = _parser("a 0/1 string, a list of bits or 'random'", lambda v: isinstance(v, (str, list)),
+                  lambda v: v if isinstance(v, str) else [_integer(b) for b in v])
 
 
-def _number(doc: dict, key: str, default=None, required=False):
-    if key not in doc:
-        if required:
-            raise ConfigError(f"config key {key!r} is required")
-        return default
-    return _as_number(key, doc[key])
+def _choice(enum):
+    return _parser(" or ".join(member.value for member in enum), convert=lambda v: enum(str(v).lower()))
 
 
-def _resolve_species(args, doc):
-    spec = getattr(args, "species", None) or doc.get("species")
-    if spec is None:
-        raise ConfigError("config key 'species' is required (or pass --species)")
-    if isinstance(spec, str):
+def _species(value):
+    """a built-in species name or a definition object"""
+    if isinstance(value, dict):
+        return species_from_dict(value.get("name", "inline"),
+                                 {k: v for k, v in value.items() if k != "name"})
+    return get_species(_text(value))
+
+
+REQUIRED = object()
+
+
+class Key(NamedTuple):
+    """A config key: its value parser (None for a flag that sets no key), its
+    default (None: left out when absent) and, for a key that sizes count
+    tables, the top count a value needs, checked against MAX_BINS."""
+
+    type: Callable | None
+    default: object = None
+    bins: Callable | None = None
+
+
+# Units by key-name suffix, to SI (angular frequency for _mhz)
+_UNITS = {"_us": 1e-6, "_mhz": 2.0 * math.pi * 1e6, "_nm": 1e-9, "_um": 1e-6}
+
+
+def _parse(doc: dict, table: dict, where: str, prefix: str = "") -> dict:
+    """The typed values of doc's keys in SI units, with the table's defaults filled in."""
+    for key in doc:
+        if getattr(table.get(key), "type", None) is None:
+            raise ConfigError(f"unknown config key {key!r} {where}")
+    values = {}
+    for key, spec in table.items():
+        name, raw = prefix + key, doc.get(key, spec.default)
+        if raw is REQUIRED:
+            flag = f" (or pass --{key})" if key in _FLAGS else ""
+            raise ConfigError(f"config key {name!r} is required{flag}")
+        if raw is None and key not in doc:
+            continue
         try:
-            return get_species(spec)
-        except DomainError as exc:
-            raise ConfigError(f"config key 'species': {exc}") from exc
-    if isinstance(spec, dict):
-        return species_from_dict(spec.get("name", "inline"), {
-            k: v for k, v in spec.items() if k != "name"
-        })
-    raise ConfigError("config key 'species' must be a name or a definition object")
+            value = spec.type(raw)
+        except ConfigError:
+            raise
+        except DomainError as exc:  # the library's constructor rejected the value
+            raise ConfigError(f"config key {name!r}: {exc}") from exc
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"config key {name!r} must be {spec.type.__doc__}, got {raw!r}") from None
+        scale = _UNITS.get(key[key.rfind("_"):])
+        if scale:
+            value = scale * value
+        # a value outside the model's domain is left to the library to report
+        if spec.bins and any(0 < v < math.inf and spec.bins(v) > MAX_BINS
+                             for v in (value if isinstance(value, list) else [value])):
+            raise ConfigError(f"config key {name!r} = {raw!r} needs counts above the cap of {MAX_BINS}")
+        values[key] = value
+    return values
 
 
-def _resolve_scheme(args, doc) -> Scheme:
-    raw = getattr(args, "scheme", None) or doc.get("scheme") or "p32"
-    try:
-        return Scheme(str(raw).lower())
-    except ValueError:
-        raise ConfigError(f"config key 'scheme' must be p32 or p12, got {raw!r}") from None
+def _pick_table(doc: dict, tables: list) -> dict:
+    """The table of the one style whose own keys doc uses, else the last."""
+    own = [[k for k in doc if k in table and sum(k in t for t in tables) == 1] for table in tables]
+    used = [keys[0] for keys in own if keys]
+    if len(used) > 1:
+        raise ConfigError(f"config keys {used[0]!r} and {used[1]!r} cannot be combined")
+    return next((table for table, keys in zip(tables, own) if keys), tables[-1])
 
 
-_DETECTION_KEYS = ("species", "scheme", "s", "delta_mhz", "tau_d_us", "eta", "p_pi", "p_minus")
-_LEAK_KEYS = ("lambda0", "alpha1", "alpha2", "eta")
-
-
-def _leak_from_config(args, doc, command: str):
-    """Either direct LeakParams overrides or a species + detection config.
-
-    Returns (LeakParams, eta). The two styles are mutually exclusive.
-    """
-    direct = "lambda0" in doc
-    if direct:
-        _check_keys(doc, _LEAK_KEYS + _extra_keys(command), command)
-        eta = getattr(args, "eta", None)
-        if eta is None:
-            eta = _number(doc, "eta", required=True)
-        leak = LeakParams(
-            lambda0=_number(doc, "lambda0", required=True),
-            alpha1=_number(doc, "alpha1", default=0.0),
-            alpha2=_number(doc, "alpha2", default=0.0),
-        )
-        return leak, float(eta)
-    _check_keys(doc, _DETECTION_KEYS + _extra_keys(command), command)
-    species = _resolve_species(args, doc)
-    scheme = _resolve_scheme(args, doc)
-    eta = getattr(args, "eta", None)
-    if eta is None:
-        eta = _number(doc, "eta", required=True)
-    config = DetectionConfig(
-        scheme=scheme,
-        s=_number(doc, "s", required=True),
-        delta=2.0 * math.pi * 1e6 * _number(doc, "delta_mhz", default=0.0),
-        tau_d=1e-6 * _number(doc, "tau_d_us", required=True),
-        eta=float(eta),
-        p_pi=_number(doc, "p_pi", default=0.0),
-        p_minus=_number(doc, "p_minus", default=0.0),
-    )
-    return detection_params(species, config), float(eta)
-
-
-def _extra_keys(command: str):
-    return {
-        "params": (),
-        "dist": ("n_max",),
-        "mc": ("trials", "seed", "mode", "initial"),
-    }.get(command, ())
-
-
-def _cmd_params(args) -> int:
+def _config(args) -> dict:
+    """The subcommand's config document and flags, parsed against its table."""
     doc = _load_config(args.config)
-    leak, eta = _leak_from_config(args, doc, "params")
+    table = _pick_table(doc, args.tables)
+    flags = {key: getattr(args, key) for key in _FLAGS
+             if getattr(args, key, None) is not None and getattr(table.get(key), "type", None)}
+    return _parse({**doc, **flags}, table, f"for command {args.command!r}")
+
+
+def _leak(cfg: dict) -> LeakParams:
+    """Leak parameters given directly or by a species and detection settings."""
+    if "lambda0" in cfg:
+        return LeakParams(cfg["lambda0"], cfg["alpha1"], cfg["alpha2"])
+    config = DetectionConfig(cfg["scheme"], cfg["s"], cfg["delta_mhz"], cfg["tau_d_us"],
+                             cfg["eta"], cfg["p_pi"], cfg["p_minus"])
+    return detection_params(cfg["species"], config)
+
+
+def _cmd_params(args, cfg) -> int:
+    leak, eta = _leak(cfg), cfg["eta"]
+    _leak_fractions(leak, eta)  # the model's domain, as dist and mc apply it
     lines = [
         "lambda0: " + _F % leak.lambda0,
         "alpha1: " + _F % leak.alpha1,
@@ -201,13 +229,8 @@ def _cmd_params(args) -> int:
     return 0
 
 
-def _cmd_dist(args) -> int:
-    doc = _load_config(args.config)
-    leak, eta = _leak_from_config(args, doc, "dist")
-    n_max = doc.get("n_max")
-    if n_max is not None and _as_int("n_max", n_max) < 0:
-        raise ConfigError(f"config key 'n_max' must be a non-negative integer, got {n_max!r}")
-    dark, bright = pmf_arrays(leak, eta, n_max)
+def _cmd_dist(args, cfg) -> int:
+    dark, bright = pmf_arrays(_leak(cfg), cfg["eta"], cfg.get("n_max"))
     lines = ["n,p_dark,p_bright"]
     for n, (pd, pb) in enumerate(zip(dark, bright)):
         lines.append(("%d," + _F + "," + _F) % (n, pd, pb))
@@ -226,26 +249,14 @@ def _format_discrimination(res) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_optimize(args) -> int:
-    doc = _load_config(args.config)
-    _check_keys(doc, ("species", "scheme", "eta"), "optimize")
-    species = _resolve_species(args, doc)
-    scheme = _resolve_scheme(args, doc)
-    eta = args.eta if args.eta is not None else _number(doc, "eta", required=True)
-    res = optimize_detection(species, scheme, float(eta))
+def _cmd_optimize(args, cfg) -> int:
+    res = optimize_detection(cfg["species"], cfg["scheme"], cfg["eta"])
     _emit(_format_discrimination(res), args.out)
     return 0
 
 
-def _cmd_curve(args) -> int:
-    doc = _load_config(args.config)
-    _check_keys(doc, ("species", "scheme", "eta_grid"), "curve")
-    species = _resolve_species(args, doc)
-    scheme = _resolve_scheme(args, doc)
-    grid = doc.get("eta_grid", [1e-3, 1e-2, 0.1, 0.3])
-    if not isinstance(grid, list) or not grid:
-        raise ConfigError("config key 'eta_grid' must be a non-empty list of numbers")
-    rows = fidelity_curve(species, scheme, [_as_number("eta_grid", v) for v in grid])
+def _cmd_curve(args, cfg) -> int:
+    rows = fidelity_curve(cfg["species"], cfg["scheme"], cfg["eta_grid"])
     _emit(format_curve_csv(rows), args.out)
     return 0
 
@@ -255,7 +266,7 @@ _TABLE1_CASES = [("cd111", 0.001), ("cd111", 0.01), ("cd111", 0.3),
                  ("hg199", 0.001), ("hg199", 0.01), ("hg199", 0.3)]
 
 
-def _cmd_table1(args) -> int:
+def _cmd_table1(args, cfg) -> int:
     lines = ["species,eta,fidelity_percent,lambda0_opt,d_opt"]
     for name, eta in _TABLE1_CASES:
         res = optimize_detection(get_species(name), Scheme.P12, eta)
@@ -267,141 +278,126 @@ def _cmd_table1(args) -> int:
     return 0
 
 
-def _int_option(args, doc, key: str, default=None, required=False) -> int | None:
-    value = getattr(args, key, None)
-    if value is None:
-        value = doc.get(key, default)
-    if value is None:
-        if required:
-            raise ConfigError(f"config key {key!r} is required (or pass --{key})")
-        return None
-    return _as_int(key, value)
-
-
-def _cmd_mc(args) -> int:
-    doc = _load_config(args.config)
-    leak, eta = _leak_from_config(args, doc, "mc")
-    trials = _int_option(args, doc, "trials", required=True)
-    seed = _int_option(args, doc, "seed", default=0)
-    mode = doc.get("mode", "rate_equation")
-    initial = doc.get("initial", "dark")
-    try:
-        config = McConfig(trials=trials, seed=seed, mode=McMode(mode), initial=InitialState(initial))
-    except (ValueError, DomainError) as exc:
-        raise ConfigError(str(exc)) from exc
-    hist = simulate_histogram(leak, eta, config)
+def _cmd_mc(args, cfg) -> int:
+    config = McConfig(cfg["trials"], cfg["seed"], cfg["mode"], cfg["initial"])
+    hist = simulate_histogram(_leak(cfg), cfg["eta"], config)
     _emit(format_histogram_csv(hist), args.out)
     return 0
 
 
-def _cmd_fit(args) -> int:
-    doc = _load_config(args.config)
-    _check_keys(
-        doc,
-        ("dark_csv", "bright_csv", "species", "scheme", "tau_d_us", "fit_background", "model_csv"),
-        "fit",
-    )
-    if "dark_csv" not in doc:
-        raise ConfigError("config key 'dark_csv' is required")
-    for key in ("dark_csv", "bright_csv", "model_csv"):
-        if not isinstance(doc.get(key, ""), str):
-            raise ConfigError(f"config key {key!r} must be a file path, got {doc[key]!r}")
-    species = _resolve_species(args, doc)
-    scheme = _resolve_scheme(args, doc)
-    tau_d = 1e-6 * _number(doc, "tau_d_us", required=True)
-    fit_background = doc.get("fit_background", False)
-    if not isinstance(fit_background, bool):
-        raise ConfigError("config key 'fit_background' must be true or false")
-    dark = read_histogram_csv(doc["dark_csv"])
-    bright = read_histogram_csv(doc["bright_csv"]) if doc.get("bright_csv") else None
-    result = fit_histograms(dark, bright, species, tau_d, fit_background=fit_background, scheme=scheme)
+def _cmd_fit(args, cfg) -> int:
+    species, scheme, tau_d = cfg["species"], cfg["scheme"], cfg["tau_d_us"]
+    dark = read_histogram_csv(cfg["dark_csv"])
+    bright = read_histogram_csv(cfg["bright_csv"]) if cfg.get("bright_csv") else None
+    result = fit_histograms(dark, bright, species, tau_d, fit_background=cfg["fit_background"], scheme=scheme)
     # the model file first: it can still fail, and a printed result cannot be taken back
-    if doc.get("model_csv"):
+    if cfg.get("model_csv"):
         rows = model_vs_data_rows(result, dark, bright, species, tau_d, scheme=scheme)
-        _atomic_write(doc["model_csv"], format_model_csv(rows))
+        _atomic_write(cfg["model_csv"], format_model_csv(rows))
     _emit(format_fit_result(result), args.out)
     return 0
 
 
-_CCD_SIM_KEYS = ("positions", "lambda0", "alpha1", "alpha2", "eta", "crosstalk_eps",
-                 "thresholds", "trials", "seed", "states", "frame_width", "frame_height",
-                 "ccd", "readouts_out", "report_out")
-
-
-def _per_ion_numbers(doc, key: str, n_ions: int) -> list:
-    values = doc.get(key)
-    if not isinstance(values, list) or len(values) != n_ions:
-        raise ConfigError(f"config key {key!r} must list one number per ion")
-    return [_as_number(key, v) for v in values]
-
-
-def _cmd_ccd_sim(args) -> int:
-    doc = _load_config(args.config)
-    if not doc:
-        raise ConfigError("ccd-sim requires --config with the register layout")
-    _check_keys(doc, _CCD_SIM_KEYS, "ccd-sim")
-    for key in ("readouts_out", "report_out"):
-        if not isinstance(doc.get(key, ""), str):
-            raise ConfigError(f"config key {key!r} must be a file path, got {doc[key]!r}")
-    readouts_out = doc.get("readouts_out") or args.out
+def _cmd_ccd_sim(args, cfg) -> int:
+    readouts_out = cfg.get("readouts_out") or args.out
     if not readouts_out:
         raise ConfigError("declare 'readouts_out' (or --out) for the per-trial readouts")
-    positions = doc.get("positions")
-    if not (isinstance(positions, list) and positions
-            and all(isinstance(xy, list) and len(xy) == 2 for xy in positions)):
-        raise ConfigError("config key 'positions' must be a non-empty list of [x, y] pairs")
-    positions = [(_as_int("positions", x), _as_int("positions", y)) for x, y in positions]
-    n_ions = len(positions)
-    per_ion = (_per_ion_numbers(doc, "lambda0", n_ions) if isinstance(doc.get("lambda0"), list)
-               else [_number(doc, "lambda0", required=True)] * n_ions)
-    states = doc.get("states", "random")
-    if isinstance(states, list):
-        states = [_as_int("states", b) for b in states]
-    elif not isinstance(states, str):
-        raise ConfigError(f"config key 'states' must be a 0/1 string, a list of bits or 'random', got {states!r}")
-    ccd_doc = doc.get("ccd", {})
-    if not isinstance(ccd_doc, dict):
-        raise ConfigError("config key 'ccd' must be an object")
-    _check_keys(ccd_doc, CcdParams.__dataclass_fields__, "ccd-sim")
-    for key, value in ccd_doc.items():
-        if key != "gain_dist":
-            _as_number(f"ccd.{key}", value)
-    try:
-        ccd = CcdParams(**ccd_doc)
-        leak = LeakParams(max(per_ion), _number(doc, "alpha1", default=0.0),
-                          _number(doc, "alpha2", default=0.0))
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
-    eta = args.eta if args.eta is not None else _number(doc, "eta", default=1.0)
+    lambda0 = cfg["lambda0"]
+    per_ion = lambda0 if isinstance(lambda0, list) else [lambda0] * len(cfg["positions"])
+    leak = LeakParams(max(per_ion), cfg["alpha1"], cfg["alpha2"])
     batch = simulate_register_batch(
-        _int_option(args, doc, "trials", required=True),
-        positions,
-        per_ion,
-        leak,
-        eta,
-        ccd,
-        _number(doc, "crosstalk_eps", default=0.0),
-        _per_ion_numbers(doc, "thresholds", n_ions),
-        _int_option(args, doc, "seed", default=0),
-        states=states,
-        frame_width=_int_option(args, doc, "frame_width"),
-        frame_height=_int_option(args, doc, "frame_height"),
+        cfg["trials"], cfg["positions"], per_ion, leak, cfg["eta"], cfg["ccd"], cfg["crosstalk_eps"],
+        cfg["thresholds"], cfg["seed"], states=cfg["states"],
+        frame_width=cfg.get("frame_width"), frame_height=cfg.get("frame_height"),
     )
     # built before the first write, so a register it rejects leaves no file
     report = conditional_correlations(batch)
     _atomic_write(readouts_out, format_readouts_csv(batch))
-    _emit(report.format_csv(), doc.get("report_out"))
+    _emit(report.format_csv(), cfg.get("report_out"))
     return 0
 
 
-def _cmd_crosstalk(args) -> int:
-    doc = _load_config(args.config)
-    _check_keys(doc, ("wavelength_nm", "spacing_um"), "crosstalk")
-    wavelength = _number(doc, "wavelength_nm", required=True) * 1e-9
-    spacing = _number(doc, "spacing_um", required=True) * 1e-6
-    ratio = crosstalk_ratio(wavelength, spacing)
+def _cmd_crosstalk(args, cfg) -> int:
+    ratio = crosstalk_ratio(cfg["wavelength_nm"], cfg["spacing_um"])
     _emit(("crosstalk_ratio: " + _F + "\n") % ratio, args.out)
     return 0
+
+
+# Config keys that a flag of the same name also sets, the flag winning
+_FLAGS = {
+    "species": dict(help="built-in species name"),
+    "scheme": dict(choices=["p32", "p12"], help="detection scheme"),
+    "eta": dict(type=float, help="collection efficiency"),
+    "seed": dict(type=int, help="random seed (default 0)"),
+    "trials": dict(type=int, help="number of trials"),
+}
+
+_SPECIES = Key(_species, REQUIRED)
+_SCHEME = Key(_choice(Scheme), "p32")
+_ETA = Key(_real, REQUIRED)
+_DIRECT_STYLE = {"lambda0": Key(_real, REQUIRED, histogram_cutoff), "alpha1": Key(_real, 0.0),
+                 "alpha2": Key(_real, 0.0)}
+_SPECIES_STYLE = {"species": _SPECIES, "scheme": _SCHEME, "s": Key(_real, REQUIRED),
+                  "delta_mhz": Key(_real, 0.0), "tau_d_us": Key(_real, REQUIRED),
+                  "p_pi": Key(_real, 0.0), "p_minus": Key(_real, 0.0)}
+
+
+def _leak_tables(**keys) -> list:
+    """A leak command's two styles: lambda0 and the alphas, or a species and detection settings."""
+    return [{**style, "eta": _ETA, **keys} for style in (_DIRECT_STYLE, _SPECIES_STYLE)]
+
+
+_CCD_KEYS = {name: Key({"float": _real, "int": _integer, "str": _text}[f.type])
+             for name, f in CcdParams.__dataclass_fields__.items()}
+_CCD = _parser("an object with keys " + ", ".join(_CCD_KEYS), lambda v: isinstance(v, dict),
+               lambda v: CcdParams(**_parse(v, _CCD_KEYS, "in 'ccd'", prefix="ccd.")))
+
+# name: (function, help, the tables of its config styles)
+_COMMANDS = {
+    "params": (_cmd_params, "print leak parameters for a detection configuration", _leak_tables()),
+    "dist": (_cmd_dist, "write the analytic dark/bright count distributions as CSV",
+             _leak_tables(n_max=Key(_integer, None, int))),
+    "optimize": (_cmd_optimize, "optimal threshold and fidelity at one efficiency",
+                 [{"species": _SPECIES, "scheme": _SCHEME, "eta": _ETA}]),
+    "curve": (_cmd_curve, "fidelity versus efficiency table as CSV",
+              [{"species": _SPECIES, "scheme": _SCHEME,
+                "eta_grid": Key(_numbers, [1e-3, 1e-2, 0.1, 0.3]), "eta": Key(None)}]),
+    "table1": (_cmd_table1, "nine-entry species/efficiency fidelity table", [{}]),
+    "mc": (_cmd_mc, "Monte Carlo count histogram as CSV",
+           _leak_tables(trials=Key(_integer, REQUIRED), seed=Key(_integer, 0),
+                        mode=Key(_choice(McMode), "rate_equation"),
+                        initial=Key(_choice(InitialState), "dark"))),
+    "fit": (_cmd_fit, "maximum-likelihood fit of dark/bright histogram CSVs",
+            [{"dark_csv": Key(_path, REQUIRED), "bright_csv": Key(_path), "species": _SPECIES,
+              "scheme": _SCHEME, "tau_d_us": Key(_real, REQUIRED),
+              "fit_background": Key(_boolean, False), "model_csv": Key(_path)}]),
+    "ccd-sim": (_cmd_ccd_sim, "synthesize imager frames and read out a register",
+                [{"positions": Key(_positions, REQUIRED),
+                  "lambda0": Key(_per_ion, REQUIRED, histogram_cutoff),
+                  "alpha1": Key(_real, 0.0), "alpha2": Key(_real, 0.0), "eta": Key(_real, 1.0),
+                  "crosstalk_eps": Key(_real, 0.0), "thresholds": Key(_numbers, REQUIRED),
+                  "trials": Key(_integer, REQUIRED), "seed": Key(_integer, 0),
+                  "states": Key(_states, "random"),
+                  "frame_width": Key(_integer), "frame_height": Key(_integer),
+                  "ccd": Key(_CCD, {}),
+                  "readouts_out": Key(_path), "report_out": Key(_path)}]),
+    "crosstalk": (_cmd_crosstalk, "diffraction-limited neighbor crosstalk ratio",
+                  [{"wavelength_nm": Key(_real, REQUIRED), "spacing_um": Key(_real, REQUIRED)}]),
+}
+
+
+def _key_listing(tables: list) -> str:
+    """The --help listing of a subcommand's config keys, one table per style."""
+    lines = []
+    for i, table in enumerate(tables):
+        lines.append(f"config keys, style {i + 1} of {len(tables)}:" if len(tables) > 1 else "config keys:")
+        for key, spec in table.items():
+            default = ("required" if spec.default is REQUIRED else "optional" if spec.default is None
+                       else "default " + json.dumps(spec.default))
+            cap = f"; counts capped at {MAX_BINS}" if spec.bins else ""
+            lines.append(f"  {key:<15} {spec.type.__doc__}; {default}{cap}" if spec.type
+                         else f"  (--{key} is accepted and ignored)")
+    return "\n".join(lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -410,35 +406,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="photon-count statistics and readout modeling for hyperfine ion qubits",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text, *, seed=False, trials=False, eta=True, species=True):
-        p = sub.add_parser(name, help=help_text)
+    for name, (func, help_text, tables) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, epilog=_key_listing(tables),
+                           formatter_class=argparse.RawDescriptionHelpFormatter)
         p.add_argument("--config", help="JSON config document")
         p.add_argument("--out", help="output file (default: stdout)")
-        if species:
-            p.add_argument("--species", help="built-in species name")
-            p.add_argument("--scheme", choices=["p32", "p12"], help="detection scheme")
-        if eta:
-            p.add_argument("--eta", type=float, help="collection efficiency")
-        if seed:
-            p.add_argument("--seed", type=int, help="random seed (default 0)")
-        if trials:
-            p.add_argument("--trials", type=int, help="number of trials")
-        p.set_defaults(func=func)
-        return p
-
-    add("params", _cmd_params, "print leak parameters for a detection configuration")
-    add("dist", _cmd_dist, "write the analytic dark/bright count distributions as CSV")
-    add("optimize", _cmd_optimize, "optimal threshold and fidelity at one efficiency")
-    add("curve", _cmd_curve, "fidelity versus efficiency table as CSV")
-    add("table1", _cmd_table1, "nine-entry species/efficiency fidelity table",
-        eta=False, species=False)
-    add("mc", _cmd_mc, "Monte Carlo count histogram as CSV", seed=True, trials=True)
-    add("fit", _cmd_fit, "maximum-likelihood fit of dark/bright histogram CSVs", eta=False)
-    add("ccd-sim", _cmd_ccd_sim, "synthesize imager frames and read out a register",
-        seed=True, trials=True, species=False)
-    add("crosstalk", _cmd_crosstalk, "diffraction-limited neighbor crosstalk ratio",
-        eta=False, species=False)
+        for key, kwargs in _FLAGS.items():
+            if any(key in table for table in tables):
+                p.add_argument("--" + key, **kwargs)
+        p.set_defaults(func=func, tables=tables)
     return parser
 
 
@@ -449,7 +425,7 @@ def run_command(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return args.func(args, _config(args))
     except ConfigError as exc:
         print(f"ionread: config error: {exc}", file=sys.stderr)
         return 2

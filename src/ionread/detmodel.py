@@ -216,7 +216,7 @@ def species_from_dict(name: str, fields: Mapping) -> IonSpecies:
         raise ConfigError(
             f"species {name!r} has unknown keys: {', '.join(sorted(unknown))}"
         )
-    if "nuclear_spin" not in fields or "omega_hfs_ghz" not in fields:
+    if fields.get("nuclear_spin") is None or fields.get("omega_hfs_ghz") is None:
         raise ConfigError(
             f"species {name!r} needs at least nuclear_spin and omega_hfs_ghz"
         )
@@ -500,6 +500,11 @@ def p_bright(n, params: LeakParams, eta: float) -> float:
     return float(count_pmfs(_count(n), params.lambda0, a1, a2)[1])
 
 
+# Cap on the top count n_max of any count table or histogram: 8 MiB per pmf, and
+# above histogram_cutoff(1e6) = 1,012,030, so the documented lambda0 <= 1e6 tabulates.
+MAX_BINS = 2**20
+
+
 def histogram_cutoff(lambda0: float) -> int:
     """Bin count that bounds the neglected upper tail below ~1e-12."""
     if not (math.isfinite(lambda0) and lambda0 >= 0):
@@ -512,7 +517,10 @@ def pmf_arrays(params: LeakParams, eta: float, n_max: int | None = None):
     a1, a2 = _leak_fractions(params, eta)
     if n_max is None:
         n_max = histogram_cutoff(params.lambda0)
-    return count_pmfs(np.arange(_count(n_max) + 1), params.lambda0, a1, a2)
+    if _count(n_max, "n_max") > MAX_BINS:
+        raise DomainError(f"a pmf table at lambda0 = {params.lambda0:.9g} needs counts up to {n_max}, "
+                          f"above the cap of {MAX_BINS}")
+    return count_pmfs(np.arange(n_max + 1), params.lambda0, a1, a2)
 
 
 def analytic_histograms(

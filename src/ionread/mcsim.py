@@ -32,7 +32,7 @@ from enum import Enum
 
 import numpy as np
 
-from .detmodel import HistKind, LeakParams, PhotonHistogram
+from .detmodel import MAX_BINS, HistKind, LeakParams, PhotonHistogram, histogram_cutoff
 from .errors import ConfigError, DomainError
 
 CHUNK = 65536
@@ -147,6 +147,10 @@ def simulate_histogram(params: LeakParams, eta: float, config: McConfig) -> Phot
     no_leak_trials, the number of trajectories whose leak never fired
     inside the window (the point mass of the leak-time law).
     """
+    # the histogram is as wide as the largest count, almost surely below histogram_cutoff(lambda0)
+    if histogram_cutoff(params.lambda0) > MAX_BINS:
+        raise DomainError(f"a Monte Carlo histogram at lambda0 = {params.lambda0:.9g} needs counts up to "
+                          f"{histogram_cutoff(params.lambda0)}, above the cap of {MAX_BINS}")
     n_chunks = (config.trials + CHUNK - 1) // CHUNK
     bins = np.zeros(1, dtype=np.int64)
     no_leak_total = 0
@@ -250,6 +254,8 @@ def parse_histogram_csv(text: str) -> PhotonHistogram:
     if not rows:
         raise ConfigError("histogram CSV has no data rows")
     trials = meta.pop("trials", None)
+    if max(rows) > MAX_BINS:
+        raise DomainError(f"histogram CSV row needs counts up to {max(rows)}, above the cap of {MAX_BINS}")
     width = max(rows) + 1
     values = tuple(rows.get(n, 0) for n in range(width))
     kind = HistKind.SIMULATED if trials is not None else HistKind.MEASURED

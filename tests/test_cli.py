@@ -1,12 +1,16 @@
+import contextlib
+import io
 import json
 import math
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 try:
     import tomllib
@@ -14,8 +18,10 @@ except ModuleNotFoundError:  # Python 3.10
     tomllib = None
 
 import ionread
+from ionread import cli
+from ionread.ccd import MAX_PIXELS, MAX_READOUTS
 from ionread.cli import run_command
-from ionread.detmodel import histogram_cutoff
+from ionread.detmodel import MAX_BINS, histogram_cutoff
 from ionread.specfun import poisson_pmf
 
 SUBCOMMANDS = ["params", "dist", "optimize", "curve", "table1", "mc", "fit",
@@ -142,6 +148,19 @@ class TestParams:
         leftovers = [p for p in tmp_path.iterdir()
                      if p.name.startswith(".ionread-")]
         assert leftovers == []
+
+    @pytest.mark.parametrize("doc, flags", [
+        ({"lambda0": 5, "eta": 2}, []),
+        ({"lambda0": 5, "eta": 0}, []),
+        ({"lambda0": 5, "eta": 0.5}, ["--eta", "nan"]),
+        ({"lambda0": 5, "eta": 0.5, "alpha1": 3}, []),
+    ], ids=["eta-above-one", "eta-zero", "eta-flag-nan", "leak-fraction-above-one"])
+    def test_direct_style_outside_domain_exit_1(self, tmp_path, capsys, doc, flags):
+        cfg = write_config(tmp_path, doc)
+        code, out, err = run(["params", "--config", cfg, *flags], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("ionread: ") and err.count("\n") == 1
 
 
 class TestDist:
@@ -337,6 +356,17 @@ class TestExitCodes:
         code, _, err = run(["params", "--config", cfg], capsys)
         assert code == 2
         assert "tau_detect" in err
+        # a subcommand without config keys still rejects them by name
+        cfg = write_config(tmp_path, {"x": 1}, name="table1.json")
+        code, _, err = run(["table1", "--config", cfg], capsys)
+        assert code == 2
+        assert "unknown config key 'x'" in err
+
+    def test_mixed_styles_named_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"lambda0": 5, "eta": 1, "species": "cd111"})
+        code, _, err = run(["dist", "--config", cfg], capsys)
+        assert code == 2
+        assert "config keys 'lambda0' and 'species' cannot be combined" in err
 
     def test_malformed_json_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -452,3 +482,139 @@ class TestFailureContract:
         assert "Traceback" not in proc.stderr
         assert f"config key '{key}'" in proc.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "dark.csv"]
+
+
+def _smallest_over_cap(bins):
+    """The smallest integer value whose count table would pass MAX_BINS."""
+    lo, hi = 0, 2 * MAX_BINS
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if bins(mid) > MAX_BINS else (mid, hi)
+    return hi
+
+
+LAMBDA0_OVER_CAP = _smallest_over_cap(histogram_cutoff)
+
+
+class TestCaps:
+    """Each size cap rejects a value just above it before anything is
+    allocated: exit 2 naming a config key that sets the size, exit 1 with
+    one line when the size is derived."""
+
+    def test_bin_cap_admits_documented_domain(self):
+        assert histogram_cutoff(1e6) <= MAX_BINS < histogram_cutoff(LAMBDA0_OVER_CAP)
+
+    @pytest.fixture
+    def no_allocation(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("sized work started before the cap check")
+        monkeypatch.setattr(ionread.detmodel, "count_pmfs", fail)
+        monkeypatch.setattr(ionread.mcsim, "_chunk_counts", fail)
+        monkeypatch.setattr(ionread.ccd, "_sampler", fail)
+
+    @pytest.mark.parametrize("command, doc, flags, code, named", [
+        ("dist", {"lambda0": LAMBDA0_OVER_CAP, "eta": 1.0}, [], 2, f"config key 'lambda0' = {LAMBDA0_OVER_CAP}"),
+        ("dist", {"lambda0": 6.0, "eta": 1.0, "n_max": MAX_BINS + 1}, [], 2, "config key 'n_max'"),
+        ("ccd-sim", {**REGISTER_CONFIG, "lambda0": [12.0, LAMBDA0_OVER_CAP, 12.0]}, ["--trials", "200"], 2,
+         "config key 'lambda0'"),
+        ("ccd-sim", {**REGISTER_CONFIG, "frame_width": MAX_PIXELS // 7 + 1, "frame_height": 7},
+         ["--trials", "200"], 2, f"frame_width, frame_height or positions must hold 1 to {MAX_PIXELS}"),
+        ("ccd-sim", {**REGISTER_CONFIG, "positions": [[3, 3], [10, 3], [MAX_PIXELS // 7, 3]]},
+         ["--trials", "200"], 2, f"frame_width, frame_height or positions must hold 1 to {MAX_PIXELS}"),
+        ("ccd-sim", REGISTER_CONFIG, ["--trials", str(MAX_READOUTS // 3 + 1)], 2,
+         f"trials of 3 ions exceed the cap of {MAX_READOUTS}"),
+        ("dist", {**FIG_CONFIG, "tau_d_us": 3e7}, [], 1, "a pmf table at lambda0 = 1583362"),
+        ("mc", {**FIG_CONFIG, "tau_d_us": 3e7}, ["--trials", "200"], 1, "a Monte Carlo histogram at lambda0 = 1583362"),
+        ("fit", {"dark_csv": "dark.csv", "species": "cd111", "tau_d_us": 150.0}, [], 1,
+         f"histogram CSV row needs counts up to {MAX_BINS + 1}"),
+    ], ids=["dist-lambda0", "dist-n_max", "ccd-sim-lambda0", "ccd-sim-frame", "ccd-sim-positions",
+            "ccd-sim-trials", "dist-derived-lambda0", "mc-derived-lambda0", "fit-histogram-width"])
+    def test_over_cap_rejected(self, tmp_path, monkeypatch, capsys, no_allocation,
+                               command, doc, flags, code, named):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "dark.csv").write_text(f"n,count\n0,100\n{MAX_BINS + 1},1\n")
+        cfg = write_config(tmp_path, doc)
+        code_, out, err = run([command, "--config", cfg, *flags, "--out", "out.csv"], capsys)
+        assert code_ == code, err
+        assert named in err
+        assert out == "" and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "dark.csv"]
+
+
+# Sample values per value parser of the key tables: valid ones, the
+# boundaries 0 and 1, and files the fuzzed documents can name.
+VALID = {
+    cli._real: [1e-3, 12.0, 1.0, 0.0],
+    cli._integer: [120, 1, 0],
+    cli._boolean: [False, True],
+    cli._text: ["fixed", "exponential"],
+    cli._path: ["hist.csv", "missing.csv", "result.csv"],
+    cli._numbers: [[0.5, 200.0], [1e-3]],
+    cli._per_ion: [12.0, [12.0, 6.0]],
+    cli._positions: [[[3, 3], [10, 3]]],
+    cli._states: ["random", "01", [1, 0]],
+    cli._species: ["cd111", "yb171"],
+    cli._CCD: [{}, {"gain_dist": "fixed", "readout_rms_r": 0}],
+}
+WRONG = [None, "x", True, [], {"k": 1}, -1, 1.5, float("nan"), 10**400]
+
+
+def _valid_values(spec):
+    choices = VALID.get(spec.type)
+    return choices if choices is not None else spec.type.__doc__.split(" or ")
+
+
+@st.composite
+def config_documents(draw):
+    """A subcommand and a document drawn from its key table: valid values,
+    then up to two mutations (a wrong type, a dropped or unknown key, or a
+    size just above its cap)."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    table = draw(st.sampled_from(cli._COMMANDS[command][2]))
+    keys = [key for key, spec in table.items() if spec.type is not None]
+    doc = {key: draw(st.sampled_from(_valid_values(table[key]))) for key in keys
+           if table[key].default is cli.REQUIRED or draw(st.booleans())}
+    for _ in range(draw(st.integers(0, 2))):
+        mutation = draw(st.sampled_from(["wrong", "drop", "unknown", "cap"]))
+        if mutation == "wrong" and keys:
+            key = draw(st.sampled_from(keys))
+            # trial counts stay small: mc has no trials cap, a huge count only
+            # costs time, and TestCaps checks the register's readout cap
+            doc[key] = draw(st.sampled_from(WRONG[:-1] if key == "trials" else WRONG))
+        elif mutation == "drop" and doc:
+            del doc[draw(st.sampled_from(sorted(doc)))]
+        elif mutation == "unknown":
+            doc["bogus_key"] = 1
+        elif mutation == "cap" and command == "ccd-sim" and draw(st.booleans()):
+            doc.update(frame_width=MAX_PIXELS // 7 + 1, frame_height=7)
+        elif mutation == "cap":
+            capped = [key for key in keys if table[key].bins]
+            if capped:
+                key = draw(st.sampled_from(capped))
+                doc[key] = _smallest_over_cap(table[key].bins)
+    return command, doc
+
+
+class TestFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(config_documents())
+    def test_exit_contract(self, drawn):
+        command, doc = drawn
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)
+            try:
+                Path("hist.csv").write_text("# trials=10\nn,count\n0,6\n1,4\n")
+                Path("config.json").write_text(json.dumps(doc))
+                before = sorted(os.listdir())
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = run_command([command, "--config", "config.json", "--out", "out.txt"])
+                after = sorted(os.listdir())
+            finally:
+                os.chdir(cwd)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code:
+            assert after == before
+            assert err.getvalue().count("\n") == 1
