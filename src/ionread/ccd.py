@@ -499,48 +499,3 @@ def format_readouts_csv(batch: RegisterBatch) -> str:
                batch.roi_sums.ravel(), batch.bits.ravel())
     rows = map("%d,%d,%.9g,%d".__mod__, zip(*(c.tolist() for c in columns)))
     return "\n".join(["trial,ion,roi_sum,bit", *rows]) + "\n"
-
-
-def write_pgm(path, frame: CcdFrame) -> None:
-    """16-bit binary graymap with the frame metadata in a comment line."""
-    meta = " ".join(f"{k}={v}" for k, v in sorted(frame.meta.items()))
-    clipped = np.clip(frame.pixels, 0, 65535).astype(">u2")
-    header = f"P5\n# {meta}\n{frame.width} {frame.height}\n65535\n"
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        fh.write(clipped.tobytes())
-
-
-def read_pgm(path) -> CcdFrame:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if not data.startswith(b"P5"):
-        raise ConfigError("not a binary PGM file")
-    meta = {}
-    pos = 2
-    tokens = []
-    while len(tokens) < 3:
-        # skip whitespace, collect header tokens, capture comments
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":
-            end = data.index(b"\n", pos)
-            comment = data[pos + 1 : end].decode("ascii").strip()
-            for part in comment.split():
-                if "=" in part:
-                    k, _, v = part.partition("=")
-                    meta[k] = v
-            pos = end + 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        tokens.append(data[start:pos])
-    width, height, maxval = (int(t) for t in tokens)
-    if maxval != 65535:
-        raise ConfigError(f"expected 16-bit graymap (maxval 65535), got {maxval}")
-    pos += 1  # single whitespace after maxval
-    pixels = np.frombuffer(data[pos : pos + 2 * width * height], dtype=">u2")
-    if pixels.size != width * height:
-        raise ConfigError("PGM pixel payload is truncated")
-    return CcdFrame(pixels=pixels.reshape(height, width).astype(np.int64), meta=meta)

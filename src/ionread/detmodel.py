@@ -34,7 +34,6 @@ exactly once at parse time. Detection time in seconds, wavelengths in nm.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -78,6 +77,9 @@ class IonSpecies:
     def __post_init__(self):
         if not self.name:
             raise DomainError("species name must be non-empty")
+        for fname in ("nuclear_spin", "omega_hfs"):
+            if getattr(self, fname) is None:
+                raise DomainError(f"species {self.name!r} needs {fname}")
         doubled = 2 * self.nuclear_spin
         if doubled < 0 or abs(doubled - round(doubled)) > 1e-12:
             raise DomainError(
@@ -131,27 +133,6 @@ class IonSpecies:
             wavelength_p12_nm=wavelength_p12_nm,
         )
 
-    def to_frequency_dict(self) -> dict:
-        """Inverse of from_frequencies, for writing registry files."""
-
-        def mhz(v):
-            return None if v is None else v / (TWO_PI * 1e6)
-
-        def ghz(v):
-            return None if v is None else v / (TWO_PI * 1e9)
-
-        raw = {
-            "nuclear_spin": self.nuclear_spin,
-            "omega_hfs_ghz": ghz(self.omega_hfs),
-            "gamma_p32_mhz": mhz(self.gamma_p32),
-            "omega_hfp32_ghz": ghz(self.omega_hfp32),
-            "wavelength_p32_nm": self.wavelength_p32_nm,
-            "gamma_p12_mhz": mhz(self.gamma_p12),
-            "omega_hfp12_ghz": ghz(self.omega_hfp12),
-            "wavelength_p12_nm": self.wavelength_p12_nm,
-        }
-        return {k: v for k, v in raw.items() if v is not None}
-
 
 BUILTIN_SPECIES: Mapping[str, IonSpecies] = {
     "cd111": IonSpecies.from_frequencies(
@@ -184,14 +165,12 @@ BUILTIN_SPECIES: Mapping[str, IonSpecies] = {
 }
 
 
-def get_species(name: str, extra: Mapping[str, IonSpecies] | None = None) -> IonSpecies:
-    """Look up a species by name in the built-in registry plus extras."""
-    if extra and name in extra:
-        return extra[name]
+def get_species(name: str) -> IonSpecies:
+    """Look up a species by name in the built-in registry."""
     try:
         return BUILTIN_SPECIES[name]
     except KeyError:
-        known = sorted(set(BUILTIN_SPECIES) | set(extra or ()))
+        known = sorted(BUILTIN_SPECIES)
         raise DomainError(f"unknown species {name!r}; known: {', '.join(known)}") from None
 
 
@@ -226,30 +205,6 @@ def species_from_dict(name: str, fields: Mapping) -> IonSpecies:
         return IonSpecies.from_frequencies(name, spin, **kwargs)
     except DomainError as exc:
         raise ConfigError(f"species {name!r}: {exc}") from exc
-
-
-def load_species_file(path) -> dict[str, IonSpecies]:
-    """Read a JSON species registry {name: {frequency keys...}}.
-
-    Keys carry their units in the name (gamma_p32_mhz, omega_hfs_ghz);
-    unknown keys are rejected rather than ignored.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"species file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"species file {path} must hold an object of species")
-    return {name: species_from_dict(name, fields) for name, fields in doc.items()}
-
-
-def write_species_file(path, registry: Mapping[str, IonSpecies]) -> None:
-    """Write a registry back out in the quoted-frequency JSON format."""
-    doc = {name: sp.to_frequency_dict() for name, sp in registry.items()}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 @dataclass(frozen=True)
@@ -349,12 +304,6 @@ class PhotonHistogram:
     @property
     def total(self) -> float:
         return math.fsum(self.values)
-
-    def frequencies(self) -> tuple:
-        total = self.total
-        if total <= 0:
-            raise DomainError("histogram has no counts")
-        return tuple(v / total for v in self.values)
 
 
 def _scheme_constants(species: IonSpecies, scheme: Scheme):

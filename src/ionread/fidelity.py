@@ -222,14 +222,6 @@ def max_clock_fidelity(gamma: float, omega_hfp: float) -> float:
     return 1.0 - (4.0 / 9.0) * (gamma / (2.0 * omega_hfp)) ** 2
 
 
-def composed_fidelity(f_ceiling: float, f_discrimination: float) -> float:
-    """Total readout fidelity as the product of independent loss factors."""
-    for name, v in (("f_ceiling", f_ceiling), ("f_discrimination", f_discrimination)):
-        if not 0.0 <= v <= 1.0:
-            raise DomainError(f"{name} must lie in [0, 1], got {v}")
-    return f_ceiling * f_discrimination
-
-
 def fidelity_curve(species: IonSpecies, scheme, eta_grid) -> list[dict]:
     """Optimal infidelity versus collection efficiency, one row per eta.
 

@@ -32,7 +32,7 @@ from enum import Enum
 
 import numpy as np
 
-from .detmodel import MAX_BINS, HistKind, LeakParams, PhotonHistogram, histogram_cutoff
+from .detmodel import MAX_BINS, HistKind, LeakParams, PhotonHistogram, _leak_fractions, histogram_cutoff
 from .errors import ConfigError, DomainError
 
 CHUNK = 65536
@@ -76,19 +76,10 @@ def _keyed_rng(seed: int, salt: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, (salt << 32) + index], dtype=np.uint64)))
 
 
-def _leak_fraction(params: LeakParams, eta: float, which: InitialState) -> float:
-    if not 0 < eta <= 1:
-        raise DomainError(f"collection efficiency must be in (0, 1], got {eta}")
-    alpha = params.alpha1 if which is InitialState.DARK else params.alpha2
-    a = alpha / eta
-    if which is InitialState.DARK and a >= 1.0:
-        raise DomainError(f"alpha1/eta must be < 1 for dark trajectories, got {a}")
-    return a
-
-
 def _rate_equation_chunk(rng, size, params, eta, initial):
     lam0 = params.lambda0
-    a = _leak_fraction(params, eta, initial)
+    a1, a2 = _leak_fractions(params, eta)
+    a = a1 if initial is InitialState.DARK else a2
     if a * lam0 == 0.0:
         x = np.full(size, np.inf)
     else:
@@ -105,8 +96,8 @@ def _rate_equation_chunk(rng, size, params, eta, initial):
 
 def _photon_level_chunk(rng, size, params, eta, initial):
     lam0 = params.lambda0
-    a = _leak_fraction(params, eta, initial)
-    alpha = a * eta
+    a1, a2 = _leak_fractions(params, eta)
+    alpha = (a1 if initial is InitialState.DARK else a2) * eta
     slots = rng.poisson(lam0 / eta, size=size)
     if alpha == 0.0:
         leak_slot = np.full(size, np.iinfo(np.int64).max, dtype=np.int64)
@@ -178,20 +169,6 @@ def simulate_histogram(params: LeakParams, eta: float, config: McConfig) -> Phot
         trials=config.trials,
         meta=meta,
     )
-
-
-def total_variation(hist_a, hist_b) -> float:
-    """TV distance between two histograms' normalized frequencies.
-
-    Accepts PhotonHistogram or plain sequences; shorter input is padded
-    with zeros.
-    """
-    pa = list(hist_a.frequencies() if isinstance(hist_a, PhotonHistogram) else hist_a)
-    pb = list(hist_b.frequencies() if isinstance(hist_b, PhotonHistogram) else hist_b)
-    width = max(len(pa), len(pb))
-    pa += [0.0] * (width - len(pa))
-    pb += [0.0] * (width - len(pb))
-    return 0.5 * sum(abs(x - y) for x, y in zip(pa, pb))
 
 
 def format_histogram_csv(hist: PhotonHistogram) -> str:

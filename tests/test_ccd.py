@@ -15,12 +15,10 @@ from ionread.ccd import (
     default_rois,
     equal_error_threshold,
     format_readouts_csv,
-    read_pgm,
     read_register,
     simulate_register_batch,
     snr,
     synthesize_frame,
-    write_pgm,
 )
 from ionread.detmodel import LeakParams, pmf_arrays
 from ionread.errors import ConfigError, DomainError
@@ -333,26 +331,6 @@ class TestRegisterBatch:
         assert format_readouts_csv(part) == "trial,ion,roi_sum,bit\n" + "".join(
             "%d,%d,%.9g,%d\n" % (t, i, s, b) for t, r in enumerate(rows[10:110])
             for i, (s, b) in enumerate(zip(r.roi_sums, r.bits)))
-
-
-class TestPgm:
-    def test_roundtrip(self, tmp_path):
-        frame = synthesize_frame(
-            states="101", positions=POS3, per_ion_lambda0=[12.0] * 3,
-            leak=LEAK, eta=1.0, ccd=CcdParams(), crosstalk_eps=0.01, seed=31)
-        path = tmp_path / "frame.pgm"
-        write_pgm(path, frame)
-        back = read_pgm(path)
-        assert back.width == frame.width and back.height == frame.height
-        assert np.array_equal(back.pixels, frame.pixels)
-        raw = path.read_bytes()
-        assert raw.startswith(b"P5")
-
-    def test_read_rejects_non_pgm(self, tmp_path):
-        path = tmp_path / "bad.pgm"
-        path.write_bytes(b"P6 2 2 255 junkjunkjunk")
-        with pytest.raises((DomainError, ConfigError, ValueError)):
-            read_pgm(path)
 
 
 def equal_error_threshold_loop(dark_sums, bright_sums) -> float:

@@ -271,6 +271,18 @@ class TestMc:
         assert code == 2
         assert "quantum_jump" in err
 
+    @pytest.mark.parametrize("initial", ["dark", "bright"])
+    def test_leak_fraction_above_one_exit_1(self, tmp_path, capsys, initial):
+        cfg = write_config(tmp_path, {"lambda0": 12, "alpha1": 2, "eta": 1,
+                                      "initial": initial})
+        out_path = tmp_path / "hist.csv"
+        code, out, err = run(["mc", "--config", cfg, "--trials", "100",
+                              "--out", str(out_path)], capsys)
+        assert code == 1
+        assert out == "" and not out_path.exists()
+        assert err.startswith("ionread: ") and err.count("\n") == 1
+        assert "alpha1/eta" in err
+
 
 class TestFitPipeline:
     def test_mc_to_fit_roundtrip(self, tmp_path, capsys):

@@ -21,11 +21,10 @@ from ionread.detmodel import (
     detection_params,
     get_species,
     histogram_cutoff,
-    load_species_file,
     p_bright,
     p_dark,
     pmf_arrays,
-    write_species_file,
+    species_from_dict,
 )
 from ionread.errors import ConfigError, DomainError
 from ionread.specfun import poisson_pmf, reg_inc_gamma
@@ -90,46 +89,23 @@ class TestIonSpecies:
         with pytest.raises(DomainError, match="cd111"):
             get_species("xe999")
 
-    def test_frequency_dict_roundtrip(self):
-        cd = get_species("cd111")
-        d = cd.to_frequency_dict()
-        rebuilt = IonSpecies.from_frequencies("cd111", d.pop("nuclear_spin"), **d)
-        for field in ("omega_hfs", "gamma_p32", "omega_hfp32", "gamma_p12",
-                      "omega_hfp12", "wavelength_p32_nm", "wavelength_p12_nm"):
-            assert getattr(rebuilt, field) == pytest.approx(
-                getattr(cd, field), rel=1e-12)
-
-    def test_species_file_roundtrip(self, tmp_path):
-        path = tmp_path / "species.json"
-        write_species_file(path, BUILTIN_SPECIES)
-        back = load_species_file(path)
-        assert set(back) == set(BUILTIN_SPECIES)
-        for name, orig in BUILTIN_SPECIES.items():
-            got = back[name]
-            assert got.nuclear_spin == orig.nuclear_spin
-            for field in ("omega_hfs", "gamma_p32", "omega_hfp32", "gamma_p12",
-                          "omega_hfp12", "wavelength_p32_nm", "wavelength_p12_nm"):
-                a, b = getattr(got, field), getattr(orig, field)
-                if a is None or b is None:
-                    assert a is b
-                else:
-                    assert a == pytest.approx(b, rel=1e-12)
-
-    def test_species_file_unknown_key(self, tmp_path):
-        path = tmp_path / "species.json"
-        path.write_text('{"x1": {"nuclear_spin": 0.5, "omega_hfs_ghz": 10, "bogus": 3}}')
+    def test_species_file_unknown_key(self):
         with pytest.raises(ConfigError, match="bogus"):
-            load_species_file(path)
+            species_from_dict("x1", {"nuclear_spin": 0.5, "omega_hfs_ghz": 10, "bogus": 3})
 
-    def test_species_file_missing_required(self, tmp_path):
-        path = tmp_path / "species.json"
-        path.write_text('{"x1": {"nuclear_spin": 0.5}}')
+    def test_species_file_missing_required(self):
         with pytest.raises(ConfigError, match="omega_hfs_ghz"):
-            load_species_file(path)
+            species_from_dict("x1", {"nuclear_spin": 0.5})
 
     def test_nonpositive_frequency_rejected(self):
         with pytest.raises(DomainError):
             IonSpecies.from_frequencies("bad", 0.5, omega_hfs_ghz=-1.0)
+
+    @pytest.mark.parametrize("spin,omega_hfs,missing", [(0.5, None, "omega_hfs"),
+                                                        (None, 1e9, "nuclear_spin")])
+    def test_missing_required_field_rejected(self, spin, omega_hfs, missing):
+        with pytest.raises(DomainError, match=missing):
+            IonSpecies("x", spin, omega_hfs, gamma_p32=1e8, omega_hfp32=1e9)
 
 
 class TestDetectionConfig:
@@ -384,10 +360,6 @@ class TestHistograms:
             PhotonHistogram(values=(0.5, 0.4), kind=HistKind.ANALYTIC)
         with pytest.raises(DomainError):
             PhotonHistogram(values=(3.0, 4.0), kind=HistKind.SIMULATED, trials=10)
-
-    def test_frequencies(self):
-        hist = PhotonHistogram(values=(3.0, 1.0), kind=HistKind.SIMULATED, trials=4)
-        assert hist.frequencies() == (0.75, 0.25)
 
     def test_cutoff_monotone(self):
         assert histogram_cutoff(1.0) < histogram_cutoff(100.0)

@@ -12,7 +12,6 @@ from ionread.fidelity import (
     _cdf_pair,
     approx_fidelity,
     best_threshold,
-    composed_fidelity,
     fidelity_at,
     fidelity_curve,
     floor_leak_ratios,
@@ -166,15 +165,6 @@ class TestClockCeiling:
             max_clock_fidelity(0.0, 1.0)
         with pytest.raises(DomainError):
             max_clock_fidelity(1.0, -2.0)
-
-    def test_discrimination_below_composed_ceiling(self):
-        ceiling = max_clock_fidelity(TWO_PI * 60e6, TWO_PI * 800e6)
-        res = optimize_detection(get_species("cd111"), Scheme.P32, 0.3)
-        composed = composed_fidelity(ceiling, res.fidelity)
-        assert composed <= ceiling
-        assert composed <= res.fidelity
-        with pytest.raises(DomainError):
-            composed_fidelity(1.2, 0.5)
 
 
 class TestFidelityCurve:

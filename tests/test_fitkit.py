@@ -137,7 +137,7 @@ class TestRoundtrip:
 class TestConventionInvariance:
     def test_counts_vs_frequencies(self):
         dark, bright = mc_pair(20000, 9, 1009)
-        as_freq = lambda h: PhotonHistogram(values=h.frequencies(),
+        as_freq = lambda h: PhotonHistogram(values=[v / h.total for v in h.values],
                                             kind=HistKind.MEASURED)
         res_counts = fit_histograms(dark, bright, CD, TAU_D)
         res_freq = fit_histograms(as_freq(dark), as_freq(bright), CD, TAU_D)

@@ -20,7 +20,6 @@ from ionread.mcsim import (
     parse_histogram_csv,
     read_histogram_csv,
     simulate_histogram,
-    total_variation,
     write_histogram_csv,
 )
 
@@ -205,10 +204,3 @@ class TestCsv:
     def test_parse_rejects_malformed(self, text):
         with pytest.raises(ConfigError):
             parse_histogram_csv(text)
-
-    def test_total_variation_self_zero(self):
-        params = LeakParams(5.0, 1e-3, 0.0)
-        cfg = McConfig(trials=5000, seed=11, mode=McMode.RATE_EQUATION,
-                       initial=InitialState.DARK)
-        hist = simulate_histogram(params, 0.5, cfg)
-        assert total_variation(hist, hist) == 0.0

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import ionread
+from ionread.cli import run_command
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -26,3 +27,18 @@ def test_calibrate_crosstalk_small_sweep():
     assert lines[0].startswith("eps,threshold_0")
     assert len(lines) == 4
     assert lines[-1].startswith("# closest to target 0.012: eps=")
+
+
+def test_detection_report_writes_three_artifacts(tmp_path, capsys):
+    proc = run_script("detection_report.py", "--out-dir", str(tmp_path / "report"))
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    report = tmp_path / "report"
+    assert sorted(p.name for p in report.iterdir()) == ["curve.csv", "params.txt", "table.csv"]
+    assert run_command(["table1"]) == 0
+    table1 = capsys.readouterr().out.splitlines()
+    rows = (report / "table.csv").read_text().splitlines()
+    # same header, same nine rows; the script orders species by name
+    assert rows[0] == table1[0]
+    assert len(rows) == 10
+    assert set(rows[1:]) == set(table1[1:])
