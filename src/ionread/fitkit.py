@@ -9,12 +9,20 @@ optional state-independent Poisson background with mean lambda_bg can be
 convolved into both model distributions.
 
 The loss is the joint multinomial negative log-likelihood of both
-histograms under the closed-form count distributions. Optimization is a
-deterministic Nelder-Mead simplex over log-transformed parameters from a
-fixed multi-start grid, followed by a tight polish of the best start.
-The result is flagged non-converged when the optimum sits on a parameter
-bound or when near-optimal starts disagree (the classic symptom of an
-unidentifiable direction, e.g. fitting from a dark histogram alone).
+histograms under the closed-form count distributions. Those depend on
+the parameters only through lambda0, a1 = alpha1/eta and a2 = alpha2/eta,
+a smooth bijection of (eta, s, p_impure) at zero detuning, so the fit
+runs in log(lambda0, a1, a2) (plus log lambda_bg): Fisher scoring with
+backtracking from a moment start, with the gradient and the expected
+Fisher matrix in closed form, since dP(n+1, x)/dx = pois(n; x) for
+integer n. The optimum maps back to (eta, s, p_impure) in closed form.
+
+A parameter the histograms cannot identify is held, and the result is
+flagged non-converged: a dark-only fit holds a2 at its start, and under
+p12 a2/a1 is fixed by the branching ratios, so p_impure does not enter
+the model and is reported as ``_P12_P_IMPURE``. The result is also
+non-converged when it sits on a parameter bound or when scoring stalls,
+meets a singular Fisher matrix or runs out of steps.
 """
 
 from __future__ import annotations
@@ -24,17 +32,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import Scheme
+from .angular import Scheme, branching_ratios
 from .detmodel import (
+    MAX_BINS,
     DetectionConfig,
     IonSpecies,
     PhotonHistogram,
+    _scheme_constants,
     count_pmfs,
     detection_params,
     histogram_cutoff,
     pmf_arrays,
 )
 from .errors import DomainError
+from .specfun import log_poisson
 
 _LOG_BOUNDS = {
     "eta": (math.log(1e-9), 0.0),
@@ -43,6 +54,16 @@ _LOG_BOUNDS = {
     "lambda_bg": (math.log(1e-9), math.log(100.0)),
 }
 _MIN_COUNTS = 100
+# p12 leak rates do not depend on the polarization impurity, so a p12 fit
+# reports this fixed value for it, with converged=False
+_P12_P_IMPURE = 1e-3
+_LAMBDA_BG_START = 0.2
+# scoring stops once the next step moves no log coordinate by more than
+# _STEP_TOL or promises an NLL decrease below _NLL_RTOL of the NLL; both
+# are unchanged when every histogram weight is scaled by one factor
+_STEP_TOL = 1e-9
+_NLL_RTOL = 1e-14
+_MAX_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -107,54 +128,218 @@ def model_distributions(
     return dark, bright
 
 
-def _nll(counts: np.ndarray | None, pmf: np.ndarray) -> float:
-    if counts is None:
-        return 0.0
-    p = np.clip(pmf[: len(counts)], 1e-300, None)
-    return float(-(counts * np.log(p)).sum())
+class _LeakMap:
+    """Closed-form map between log(eta, s, p_impure) and log(lambda0, a1, a2).
 
+    At zero detuning, with sat = 1 + s, k1 = (gamma/2 Delta1)^2 and
+    k2 = (gamma/2 Delta2)^2 (``detection_params``): lambda0 = tau_d eta s
+    (gamma/2) / sat and a1 = m1 k1 sat / eta, so s = lambda0 a1 /
+    (tau_d (gamma/2) m1 k1) and eta = m1 k1 sat / a1. Under p32, a2 =
+    k2 mbar sat p / ((1-p) eta) with mbar = (m2_pi + m2_minus)/2, so
+    p/(1-p) = (a2/a1) m1 k1 / (k2 mbar); under p12, a2 = m2_pi k2 sat / eta.
+    Both directions work on logs, so no finite input overflows.
+    """
 
-def _objective(x, names, fixed, species, tau_d, dark_c, bright_c, n_top, scheme):
-    params = dict(fixed)
-    for name, xi in zip(names, x):
-        lo, hi = _LOG_BOUNDS[name]
-        if not (lo <= xi <= hi) or not math.isfinite(xi):
-            return math.inf
-        params[name] = math.exp(xi)
-    try:
-        dark_m, bright_m = model_distributions(
-            species,
-            tau_d,
-            params["eta"],
-            params["s"],
-            params["p_impure"],
-            params.get("lambda_bg"),
-            n_top=n_top,
-            scheme=scheme,
+    def __init__(self, species: IonSpecies, scheme: Scheme, tau_d: float):
+        gamma, detuning_1, detuning_2 = _scheme_constants(species, scheme)
+        ratios = branching_ratios(species.nuclear_spin, scheme)
+        self.p32 = scheme is Scheme.P32
+        m2 = (ratios.m2_pi + ratios.m2_minus) / 2.0 if self.p32 else ratios.m2_pi
+        self.log_photons = math.log(tau_d * gamma / 2.0)
+        self.log_c1 = math.log(ratios.m1 * (gamma / (2.0 * detuning_1)) ** 2)
+        self.log_c2 = math.log(m2 * (gamma / (2.0 * detuning_2)) ** 2)
+
+    def leak(self, log_eta: float, log_s: float, log_p: float) -> np.ndarray:
+        """log(lambda0, a1, a2) at log(eta, s, p_impure)."""
+        log_sat = np.logaddexp(0.0, log_s)
+        log_a2 = self.log_c2 + log_sat - log_eta
+        if self.p32:
+            log_a2 += log_p - math.log1p(-math.exp(log_p))
+        return np.array(
+            [self.log_photons + log_eta + log_s - log_sat, self.log_c1 + log_sat - log_eta, log_a2]
         )
+
+    def natural(self, log_lambda0: float, log_a1: float, log_a2: float) -> dict:
+        """log(eta, s, p_impure) at log(lambda0, a1, a2), keyed as _LOG_BOUNDS."""
+        log_s = log_lambda0 + log_a1 - self.log_photons - self.log_c1
+        log_eta = self.log_c1 + np.logaddexp(0.0, log_s) - log_a1
+        if self.p32:
+            log_p = -np.logaddexp(0.0, log_a1 - log_a2 + self.log_c2 - self.log_c1)
+        else:
+            log_p = math.log(_P12_P_IMPURE)
+        return {"eta": float(log_eta), "s": float(log_s), "p_impure": float(log_p)}
+
+
+@dataclass(frozen=True)
+class _Problem:
+    """One fit: data, map and free coordinates.
+
+    The log leak coordinates v = log(lambda0, a1, a2[, lambda_bg]) are
+    tie @ u + offset for the free coordinates u; a held or tied a2 is a
+    row of tie that is zero or copies a1's row. ``bounded`` names the
+    natural parameters the data determine, checked against _LOG_BOUNDS.
+    """
+
+    leak_map: _LeakMap
+    dark_c: np.ndarray
+    bright_c: np.ndarray | None
+    n_top: int
+    tie: np.ndarray
+    offset: np.ndarray
+    bounded: tuple
+
+    def point(self, u):
+        """Log leak coordinates v and log natural parameters at u."""
+        v = self.tie @ u + self.offset
+        logs = self.leak_map.natural(*v[:3])
+        if len(v) == 4:
+            logs["lambda_bg"] = float(v[3])
+        return v, logs
+
+    def inside(self, logs: dict, margin: float) -> bool:
+        """Whether every bounded log parameter lies margin inside _LOG_BOUNDS."""
+        return all(
+            _LOG_BOUNDS[name][0] + margin <= logs[name] <= _LOG_BOUNDS[name][1] - margin
+            for name in self.bounded
+        )
+
+
+def _leak_jacobians(n, lambda0, a1, a2, dark, bright):
+    """d(dark)/d and d(bright)/d log(lambda0, a1, a2) as (3, bins) arrays.
+
+    The leak terms are what ``count_pmfs`` adds to the unleaked parts
+    exp(-a1 lambda0) delta_n0 and exp(-a2 lambda0) pois(n; lambda0); each
+    derivative of P(n+1, x) reduces to a multiple of pois(n; lambda0).
+    """
+    log_pois = log_poisson(n, lambda0)
+    pois = np.exp(log_pois)
+    stay_dark = np.where(n == 0, math.exp(-a1 * lambda0), 0.0)
+    stay_bright = np.exp(log_pois - a2 * lambda0)
+    leak_dark = dark - stay_dark
+    leak_bright = bright - stay_bright
+    zero = np.zeros_like(pois)
+    d_dark = np.array([
+        a1 * lambda0 * (pois - dark),
+        leak_dark * (1.0 + a1 * (n + 1.0) / (1.0 - a1) - a1 * lambda0)
+        - a1 * lambda0 * (stay_dark + a1 / (1.0 - a1) * pois),
+        zero,
+    ])
+    d_bright = np.array([
+        stay_bright * (n - lambda0),
+        zero,
+        leak_bright * (1.0 - a2 * (n + 1.0) / (1.0 + a2))
+        - a2 * lambda0 / (1.0 + a2) * stay_bright,
+    ])
+    return d_dark, d_bright
+
+
+def _objective(u, problem: _Problem):
+    """NLL, its gradient and the expected Fisher matrix at free coordinates u.
+
+    A point whose natural parameters leave _LOG_BOUNDS, with a1 >= 1 or
+    whose pmf needs more than MAX_BINS bins gives (inf, None, None). Called as a module global: the benchmark
+    tracer hooks it by name.
+    """
+    v, logs = problem.point(u)
+    if not (v[1] < 0.0 and problem.inside(logs, 0.0)):
+        return math.inf, None, None
+    lambda0, a1, a2 = np.exp(v[:3]).tolist()
+    lambda_bg = math.exp(v[3]) if len(v) == 4 else 0.0
+    top = max(problem.n_top, histogram_cutoff(lambda0 + lambda_bg))
+    if top > MAX_BINS:
+        return math.inf, None, None
+    n = np.arange(top + 1.0)
+    try:
+        dark, bright = count_pmfs(n, lambda0, a1, a2)
     except DomainError:
-        return math.inf
-    return _nll(dark_c, dark_m) + _nll(bright_c, bright_m)
+        return math.inf, None, None
+    d_dark, d_bright = _leak_jacobians(n, lambda0, a1, a2, dark, bright)
+    if len(v) == 4:
+        bg = _background_pmf(lambda_bg)
+        d_bg = (np.arange(len(bg)) - lambda_bg) * bg
+
+        def smear(pmf, jac):
+            rows = [np.convolve(row, bg)[: top + 1] for row in jac]
+            rows.append(np.convolve(pmf, d_bg)[: top + 1])
+            return np.convolve(pmf, bg)[: top + 1], np.array(rows)
+
+        dark, d_dark = smear(dark, d_dark)
+        bright, d_bright = smear(bright, d_bright)
+    nll = 0.0
+    grad = np.zeros(problem.tie.shape[1])
+    fisher = np.zeros((len(grad), len(grad)))
+    for counts, pmf, jac in ((problem.dark_c, dark, d_dark), (problem.bright_c, bright, d_bright)):
+        if counts is None:
+            continue
+        jac = problem.tie.T @ jac
+        p = np.clip(pmf, 1e-300, None)
+        nll -= float(counts @ np.log(p[: len(counts)]))
+        grad -= jac[:, : len(counts)] @ (counts / p[: len(counts)])
+        fisher += counts.sum() * (jac / p) @ jac.T
+    return nll, grad, fisher
 
 
-def _start_grid(species, tau_d, bright_c, fit_background, scheme):
+def _score(u, problem: _Problem):
+    """Fisher scoring with step halving from u: (u, nll, steps, converged)."""
+    nll, grad, fisher = _objective(u, problem)
+    steps = 0
+    while math.isfinite(nll) and steps < _MAX_STEPS:
+        try:
+            step = np.linalg.solve(fisher, -grad)
+        except np.linalg.LinAlgError:
+            break
+        decrease = -float(grad @ step)
+        if not (np.isfinite(step).all() and decrease >= 0.0):
+            break
+        if np.abs(step).max() <= _STEP_TOL or decrease <= _NLL_RTOL * abs(nll):
+            return u, nll, steps, True
+        while np.abs(step).max() > _STEP_TOL:
+            trial = _objective(u + step, problem)
+            if trial[0] < nll:
+                break
+            step = step / 2.0
+        else:
+            break
+        u = u + step
+        nll, grad, fisher = trial
+        steps += 1
+    return u, nll, steps, False
+
+
+def _setup(dark_c, bright_c, species, tau_d, fit_background, scheme):
+    """The fit's _Problem and its moment start u0.
+
+    lambda0 starts at the bright mean (5 without one), a1 at the value
+    that gives the dark zero-bin frequency, and a2 at a1; the start is
+    then clamped into _LOG_BOUNDS in the natural coordinates.
+    """
+    leak_map = _LeakMap(species, scheme, tau_d)
     if bright_c is not None:
-        total = bright_c.sum()
-        lam_est = max(float((np.arange(len(bright_c)) * bright_c).sum() / total), 0.5)
+        lambda0 = max(float(np.arange(len(bright_c)) @ bright_c / bright_c.sum()), 0.5)
     else:
-        lam_est = 5.0
-    gamma = species.gamma_p32 if scheme is Scheme.P32 else species.gamma_p12
-    starts = []
-    for s0 in (0.05, 0.3, 2.0):
-        eta_center = lam_est * (1.0 + s0) / (s0 * (gamma / 2.0) * tau_d)
-        for mult in (0.5, 1.0, 2.0):
-            eta0 = min(max(eta_center * mult, 1e-8), 1.0)
-            for p0 in (1e-4, 1e-3, 1e-2):
-                start = {"eta": eta0, "s": s0, "p_impure": p0}
-                if fit_background:
-                    start["lambda_bg"] = 0.2
-                starts.append(start)
-    return starts
+        lambda0 = 5.0
+    zero = dark_c[0] / dark_c.sum()
+    log_a1 = math.log(min(max(-math.log(zero) / lambda0 if zero > 0 else 1.0, 1e-12), 0.5))
+    logs = leak_map.natural(math.log(lambda0), log_a1, log_a1)
+    v0 = leak_map.leak(*(
+        min(max(logs[name], _LOG_BOUNDS[name][0] + 0.01), _LOG_BOUNDS[name][1] - 0.01)
+        for name in ("eta", "s", "p_impure")
+    ))
+    bounded = ["eta", "s"]
+    if fit_background:
+        v0 = np.append(v0, math.log(_LAMBDA_BG_START))
+        bounded.append("lambda_bg")
+    tie = np.eye(len(v0))
+    if scheme is Scheme.P12 or bright_c is None:
+        tie[2] = tie[1] if scheme is Scheme.P12 else 0.0
+        tie = np.delete(tie, 2, axis=1)
+        u0 = np.delete(v0, 2)
+    else:
+        bounded.append("p_impure")
+        u0 = v0
+    n_top = max(len(dark_c), 0 if bright_c is None else len(bright_c)) - 1
+    problem = _Problem(leak_map, dark_c, bright_c, n_top, tie, v0 - tie @ u0, tuple(bounded))
+    return problem, u0
 
 
 def fit_histograms(
@@ -171,79 +356,51 @@ def fit_histograms(
     or normalized frequencies; the estimates are identical either way,
     only the reported likelihood rescales. bright_hist may be None to
     attempt a dark-only fit; the polarization impurity is then
-    completely unconstrained, so such fits report converged=False. An
-    all-zero histogram is rejected outright.
+    completely unconstrained, so such fits report converged=False, as do
+    p12 fits, whose model does not depend on the impurity. An all-zero
+    histogram is rejected outright. ``iterations`` counts scoring steps.
     """
-    # imported here: scipy.optimize takes ~0.4 s to import and only fits use it
-    from scipy.optimize import minimize
-
     if not tau_d > 0:
         raise DomainError(f"detection time must be > 0, got {tau_d}")
     scheme = Scheme(scheme)
     dark_c = _counts(dark_hist, "dark")
     bright_c = _counts(bright_hist, "bright") if bright_hist is not None else None
-    n_top = max(len(dark_c), 0 if bright_c is None else len(bright_c)) - 1
+    problem, u0 = _setup(dark_c, bright_c, species, tau_d, fit_background, scheme)
+    u, nll, steps, converged = _score(u0, problem)
 
-    names = ["eta", "s", "p_impure"] + (["lambda_bg"] if fit_background else [])
-    fixed = {} if fit_background else {"lambda_bg": None}
-    args = (names, fixed, species, tau_d, dark_c, bright_c, n_top, scheme)
-
-    # fatol is absolute while the NLL scales with the histogram weight, so
-    # tie both stopping floors to the total weight (counts or frequencies)
-    weight = float(dark_c.sum() + (0.0 if bright_c is None else bright_c.sum()))
-    polish_fatol = min(max(1e-11 * weight, 1e-12), 1e-4)
-
-    results = []
-    iterations = 0
-    for start in _start_grid(species, tau_d, bright_c, fit_background, scheme):
-        x0 = np.array([math.log(start[name]) for name in names])
-        res = minimize(
-            _objective,
-            x0,
-            args=args,
-            method="Nelder-Mead",
-            options={"xatol": 1e-5, "fatol": 100.0 * polish_fatol, "maxiter": 600},
+    v, logs = problem.point(u)
+    lambda0, a1, a2 = np.exp(v[:3]).tolist()
+    params = {name: math.exp(x) for name, x in logs.items()}
+    leak = detection_params(species, DetectionConfig(
+        scheme=scheme,
+        s=params["s"],
+        delta=0.0,
+        tau_d=tau_d,
+        eta=params["eta"],
+        p_pi=params["p_impure"] / 2.0,
+        p_minus=params["p_impure"] / 2.0,
+    ))
+    reproduced = all(
+        math.isclose(got, want, rel_tol=1e-9)
+        for got, want in zip(
+            (leak.lambda0, leak.alpha1, leak.alpha2),
+            (lambda0, a1 * params["eta"], a2 * params["eta"]),
         )
-        iterations += int(res.nit)
-        results.append(res)
-
-    best_idx = min(range(len(results)), key=lambda i: (results[i].fun, i))
-    polish = minimize(
-        _objective,
-        results[best_idx].x,
-        args=args,
-        method="Nelder-Mead",
-        options={"xatol": 1e-8, "fatol": polish_fatol, "maxiter": 4000},
     )
-    iterations += int(polish.nit)
-    best_x = polish.x
-    best_fun = float(polish.fun)
-
-    # identifiability: starts that tie the optimum must land on the same
-    # parameters; a flat direction leaves them scattered over decades
-    agree = True
-    for res in results:
-        if res.fun <= best_fun + 1e-6 * max(abs(best_fun), 1.0):
-            for xi, xb in zip(res.x, best_x):
-                if abs(math.exp(xi) - math.exp(xb)) > 0.5 * max(abs(math.exp(xb)), 1e-12):
-                    agree = False
-    on_bound = any(
-        min(xi - _LOG_BOUNDS[name][0], _LOG_BOUNDS[name][1] - xi) < 1e-3
-        for name, xi in zip(names, best_x)
+    converged = (
+        converged
+        and reproduced
+        and problem.inside(logs, 1e-3)
+        and "p_impure" in problem.bounded
     )
-    converged = bool(polish.success) and agree and not on_bound and math.isfinite(best_fun)
-    if bright_c is None:
-        converged = False
-
-    params = {name: math.exp(xi) for name, xi in zip(names, best_x)}
     return FitResult(
         eta=params["eta"],
         s=params["s"],
         p_impure=params["p_impure"],
-        lambda_bg=params.get("lambda_bg") if fit_background else None,
-        neg_log_likelihood=best_fun,
+        lambda_bg=params.get("lambda_bg"),
+        neg_log_likelihood=nll,
         converged=converged,
-        iterations=iterations,
+        iterations=steps,
     )
 
 

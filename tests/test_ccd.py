@@ -22,7 +22,7 @@ from ionread.ccd import (
 )
 from ionread.detmodel import LeakParams, pmf_arrays
 from ionread.errors import ConfigError, DomainError
-from ionread.fidelity import floor_leak_ratios, optimize_at
+from ionread.fidelity import optimize_at
 
 POS3 = [(3, 3), (10, 3), (17, 3)]
 LEAK = LeakParams(12.0, 1e-3, 1e-3)

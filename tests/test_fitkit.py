@@ -1,8 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import ionread
+from ionread import fitkit
+from ionread.cli import run_command
 from ionread.detmodel import HistKind, PhotonHistogram, get_species
 from ionread.errors import DomainError
 from ionread.fitkit import (
@@ -20,16 +28,16 @@ TAU_D = 150e-6
 TRUTH = dict(eta=1.4e-3, s=0.25, p_impure=1.5e-3)
 
 
-def truth_leak():
+def truth_leak(scheme=Scheme.P32):
     config = DetectionConfig(
-        scheme=Scheme.P32, s=TRUTH["s"], delta=0.0, tau_d=TAU_D,
+        scheme=scheme, s=TRUTH["s"], delta=0.0, tau_d=TAU_D,
         eta=TRUTH["eta"], p_pi=TRUTH["p_impure"] / 2,
         p_minus=TRUTH["p_impure"] / 2)
     return detection_params(CD, config)
 
 
-def mc_pair(trials, dark_seed, bright_seed):
-    leak = truth_leak()
+def mc_pair(trials, dark_seed, bright_seed, scheme=Scheme.P32):
+    leak = truth_leak(scheme)
     dark = simulate_histogram(leak, TRUTH["eta"], McConfig(
         trials=trials, seed=dark_seed, mode=McMode.RATE_EQUATION,
         initial=InitialState.DARK))
@@ -200,3 +208,120 @@ class TestReporting:
         assert len(rows) == max(len(dark.values), len(bright.values))
         model_dark_total = sum(r["dark_model"] for r in rows)
         assert model_dark_total == pytest.approx(dark.trials, rel=0.01)
+
+
+class TestScoringInternals:
+    @pytest.mark.parametrize("case", ["p32", "background", "dark_only", "p12_tied"])
+    def test_gradient_matches_central_differences(self, case, contaminated):
+        scheme = Scheme.P12 if case == "p12_tied" else Scheme.P32
+        dark, bright = (contaminated if case == "background"
+                        else mc_pair(20000, 9, 1009, scheme))
+        if case == "dark_only":
+            bright = None
+        problem, u0 = fitkit._setup(
+            fitkit._counts(dark, "dark"),
+            None if bright is None else fitkit._counts(bright, "bright"),
+            CD, TAU_D, case == "background", scheme)
+        # off the optimum, so that every gradient component is sizable
+        u = u0 + 0.05
+        _, grad, _ = fitkit._objective(u, problem)
+        h = 1e-5
+        central = np.array([
+            (fitkit._objective(u + h * e, problem)[0]
+             - fitkit._objective(u - h * e, problem)[0]) / (2 * h)
+            for e in np.eye(len(u))])
+        assert len(u) == {"background": 4, "p32": 3}.get(case, 2)
+        assert np.abs(central - grad).max() <= 1e-6 * np.abs(grad).min()
+
+    @pytest.mark.parametrize("scheme", [Scheme.P32, Scheme.P12])
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_inverse_map_round_trip(self, scheme, data):
+        natural = {name: math.exp(data.draw(st.floats(*fitkit._LOG_BOUNDS[name]), label=name))
+                   for name in ("eta", "s", "p_impure")}
+        leak = detection_params(CD, DetectionConfig(
+            scheme=scheme, s=natural["s"], delta=0.0, tau_d=TAU_D, eta=natural["eta"],
+            p_pi=natural["p_impure"] / 2, p_minus=natural["p_impure"] / 2))
+        logs = fitkit._LeakMap(CD, scheme, TAU_D).natural(*np.log(
+            [leak.lambda0, leak.alpha1 / natural["eta"], leak.alpha2 / natural["eta"]]))
+        # under p12 the leak rates do not depend on p_impure
+        names = ("eta", "s", "p_impure") if scheme is Scheme.P32 else ("eta", "s")
+        for name in names:
+            assert math.exp(logs[name]) == pytest.approx(natural[name], rel=1e-10), name
+
+    @pytest.mark.parametrize("broken", ["singular", "nan"])
+    def test_bad_fisher_step_not_converged(self, monkeypatch, broken):
+        objective = fitkit._objective
+
+        def patched(u, problem):
+            nll, grad, fisher = objective(u, problem)
+            if fisher is not None:
+                fisher = 0.0 * fisher if broken == "singular" else np.full_like(fisher, np.nan)
+            return nll, grad, fisher
+
+        monkeypatch.setattr(fitkit, "_objective", patched)
+        dark, bright = analytic_pair()
+        res = fit_histograms(dark, bright, CD, TAU_D)
+        assert not res.converged
+        assert res.iterations == 0
+        assert all(math.isfinite(v) for v in (res.eta, res.s, res.p_impure,
+                                               res.neg_log_likelihood))
+
+
+class TestP12:
+    def test_p_impure_held_not_converged(self):
+        dark, bright = mc_pair(20000, 9, 1009, Scheme.P12)
+        res = fit_histograms(dark, bright, CD, TAU_D, scheme=Scheme.P12)
+        assert not res.converged
+        assert all(math.isfinite(v) for v in (res.eta, res.s, res.p_impure,
+                                               res.neg_log_likelihood))
+        assert res.p_impure == pytest.approx(fitkit._P12_P_IMPURE, rel=1e-12)
+        assert abs(res.eta - TRUTH["eta"]) / TRUTH["eta"] <= 0.05
+        assert abs(res.s - TRUTH["s"]) / TRUTH["s"] <= 0.10
+
+
+def run_python(code, cwd):
+    env = dict(os.environ, PYTHONPATH=str(Path(ionread.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, cwd=cwd, env=env)
+
+
+class TestImports:
+    def test_fit_loads_no_module_after_model_call(self, tmp_path):
+        proc = run_python(
+            "import sys\n"
+            "from ionread.detmodel import HistKind, PhotonHistogram, get_species\n"
+            "from ionread.fitkit import fit_histograms, model_distributions\n"
+            "cd = get_species('cd111')\n"
+            "dark, bright = model_distributions(cd, 150e-6, 1.4e-3, 0.25, 1.5e-3, n_top=80)\n"
+            "hist = lambda v: PhotonHistogram(values=tuple(v / v.sum()), kind=HistKind.ANALYTIC)\n"
+            "before = set(sys.modules)\n"
+            "assert fit_histograms(hist(dark), hist(bright), cd, 150e-6).converged\n"
+            "print(sorted(set(sys.modules) - before), 'scipy.optimize' in sys.modules)\n",
+            tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[] False\n"
+
+    def test_readme_fit_never_loads_scipy_optimize(self, tmp_path):
+        (tmp_path / "det.json").write_text(
+            '{"species": "cd111", "scheme": "p32", "s": 0.25, "tau_d_us": 150.0,'
+            ' "eta": 0.0014, "p_pi": 0.00075, "p_minus": 0.00075}')
+        (tmp_path / "det_bright.json").write_text(
+            (tmp_path / "det.json").read_text()[:-1] + ', "initial": "bright"}')
+        for config, seed, out in (("det.json", 9, "dark.csv"),
+                                  ("det_bright.json", 1009, "bright.csv")):
+            assert run_command(["mc", "--config", str(tmp_path / config), "--trials", "20000",
+                                "--seed", str(seed), "--out", str(tmp_path / out)]) == 0
+        (tmp_path / "fit.json").write_text(
+            '{"dark_csv": "dark.csv", "bright_csv": "bright.csv",'
+            ' "species": "cd111", "scheme": "p32", "tau_d_us": 150.0}')
+        proc = run_python(
+            "import sys\n"
+            "from ionread.cli import run_command\n"
+            "code = run_command(['fit', '--config', 'fit.json'])\n"
+            "print('scipy.optimize' in sys.modules, file=sys.stderr)\n"
+            "sys.exit(code)\n",
+            tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "False\n"
+        assert "converged: true" in proc.stdout
