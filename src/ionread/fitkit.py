@@ -9,20 +9,25 @@ optional state-independent Poisson background with mean lambda_bg can be
 convolved into both model distributions.
 
 The loss is the joint multinomial negative log-likelihood of both
-histograms under the closed-form count distributions. Those depend on
-the parameters only through lambda0, a1 = alpha1/eta and a2 = alpha2/eta,
-a smooth bijection of (eta, s, p_impure) at zero detuning, so the fit
-runs in log(lambda0, a1, a2) (plus log lambda_bg): Fisher scoring with
-backtracking from a moment start, with the gradient and the expected
-Fisher matrix in closed form, since dP(n+1, x)/dx = pois(n; x) for
-integer n. The optimum maps back to (eta, s, p_impure) in closed form.
+histograms under the closed-form count distributions. The fit runs in
+x = log(eta, s, p_impure) (plus log lambda_bg), where the parameter
+bounds _LOG_BOUNDS are a box, by projected Fisher scoring (Bertsekas,
+SIAM J. Control Optim. 20 (1982) 221) from a moment start: a coordinate
+within _ACTIVE_TOL of a bound that its gradient pushes it toward moves
+onto that bound, the Fisher system is solved on the others, and the
+trial point is clipped into the box and backtracked until the NLL falls. Each point is
+scored through ``detection_params``. The pmfs depend on it only through
+lambda0, a1 = alpha1/eta and a2 = alpha2/eta, so the gradient and the
+expected Fisher matrix are taken in log(lambda0, a1, a2) in closed form,
+since dP(n+1, x)/dx = pois(n; x) for integer n, and chained to x through
+the closed-form Jacobian of that map at zero detuning.
 
 A parameter the histograms cannot identify is held, and the result is
-flagged non-converged: a dark-only fit holds a2 at its start, and under
-p12 a2/a1 is fixed by the branching ratios, so p_impure does not enter
-the model and is reported as ``_P12_P_IMPURE``. The result is also
-non-converged when it sits on a parameter bound or when scoring stalls,
-meets a singular Fisher matrix or runs out of steps.
+flagged non-converged: a dark-only fit holds p_impure at its start, and
+under p12 the leak rates do not depend on p_impure, which is held at
+``_P12_P_IMPURE``. The result is also non-converged when a fitted
+parameter ends on a bound or when scoring stalls, meets a singular
+Fisher matrix or runs out of steps.
 """
 
 from __future__ import annotations
@@ -64,6 +69,8 @@ _LAMBDA_BG_START = 0.2
 _STEP_TOL = 1e-9
 _NLL_RTOL = 1e-14
 _MAX_STEPS = 100
+# a coordinate this close to a bound counts as on it (log units)
+_ACTIVE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -97,6 +104,13 @@ def _background_pmf(lambda_bg: float) -> np.ndarray:
     return count_pmfs(counts, lambda_bg, 0.0, 0.0)[1]
 
 
+def _leak(species: IonSpecies, scheme: Scheme, tau_d: float, eta: float, s: float, p_impure: float):
+    """``detection_params`` at zero detuning, with p_impure split evenly."""
+    config = DetectionConfig(scheme=scheme, s=s, delta=0.0, tau_d=tau_d, eta=eta,
+                             p_pi=p_impure / 2.0, p_minus=p_impure / 2.0)
+    return detection_params(species, config)
+
+
 def model_distributions(
     species: IonSpecies,
     tau_d: float,
@@ -108,16 +122,7 @@ def model_distributions(
     scheme: Scheme = Scheme.P32,
 ):
     """Dark and bright model pmfs on 0..n_top for one parameter point."""
-    config = DetectionConfig(
-        scheme=scheme,
-        s=s,
-        delta=0.0,
-        tau_d=tau_d,
-        eta=eta,
-        p_pi=p_impure / 2.0,
-        p_minus=p_impure / 2.0,
-    )
-    leak = detection_params(species, config)
+    leak = _leak(species, scheme, tau_d, eta, s, p_impure)
     cutoff = histogram_cutoff(leak.lambda0 + (lambda_bg or 0.0))
     top = max(n_top if n_top is not None else 0, cutoff)
     dark, bright = pmf_arrays(leak, eta, top)
@@ -129,15 +134,15 @@ def model_distributions(
 
 
 class _LeakMap:
-    """Closed-form map between log(eta, s, p_impure) and log(lambda0, a1, a2).
+    """Closed-form inverse of ``detection_params``, for the moment start.
 
     At zero detuning, with sat = 1 + s, k1 = (gamma/2 Delta1)^2 and
-    k2 = (gamma/2 Delta2)^2 (``detection_params``): lambda0 = tau_d eta s
-    (gamma/2) / sat and a1 = m1 k1 sat / eta, so s = lambda0 a1 /
-    (tau_d (gamma/2) m1 k1) and eta = m1 k1 sat / a1. Under p32, a2 =
-    k2 mbar sat p / ((1-p) eta) with mbar = (m2_pi + m2_minus)/2, so
-    p/(1-p) = (a2/a1) m1 k1 / (k2 mbar); under p12, a2 = m2_pi k2 sat / eta.
-    Both directions work on logs, so no finite input overflows.
+    k2 = (gamma/2 Delta2)^2: lambda0 = tau_d eta s (gamma/2) / sat and
+    a1 = m1 k1 sat / eta, so s = lambda0 a1 / (tau_d (gamma/2) m1 k1) and
+    eta = m1 k1 sat / a1. Under p32, a2 = k2 mbar sat p / ((1-p) eta)
+    with mbar = (m2_pi + m2_minus)/2, so p/(1-p) = (a2/a1) m1 k1 /
+    (k2 mbar); under p12, a2 = m2_pi k2 sat / eta does not depend on p.
+    The map works on logs, so no finite input overflows.
     """
 
     def __init__(self, species: IonSpecies, scheme: Scheme, tau_d: float):
@@ -148,16 +153,6 @@ class _LeakMap:
         self.log_photons = math.log(tau_d * gamma / 2.0)
         self.log_c1 = math.log(ratios.m1 * (gamma / (2.0 * detuning_1)) ** 2)
         self.log_c2 = math.log(m2 * (gamma / (2.0 * detuning_2)) ** 2)
-
-    def leak(self, log_eta: float, log_s: float, log_p: float) -> np.ndarray:
-        """log(lambda0, a1, a2) at log(eta, s, p_impure)."""
-        log_sat = np.logaddexp(0.0, log_s)
-        log_a2 = self.log_c2 + log_sat - log_eta
-        if self.p32:
-            log_a2 += log_p - math.log1p(-math.exp(log_p))
-        return np.array(
-            [self.log_photons + log_eta + log_s - log_sat, self.log_c1 + log_sat - log_eta, log_a2]
-        )
 
     def natural(self, log_lambda0: float, log_a1: float, log_a2: float) -> dict:
         """log(eta, s, p_impure) at log(lambda0, a1, a2), keyed as _LOG_BOUNDS."""
@@ -172,36 +167,28 @@ class _LeakMap:
 
 @dataclass(frozen=True)
 class _Problem:
-    """One fit: data, map and free coordinates.
+    """One fit: data, model settings and the free coordinates.
 
-    The log leak coordinates v = log(lambda0, a1, a2[, lambda_bg]) are
-    tie @ u + offset for the free coordinates u; a held or tied a2 is a
-    row of tie that is zero or copies a1's row. ``bounded`` names the
-    natural parameters the data determine, checked against _LOG_BOUNDS.
+    The point x = log(eta, s, p_impure[, lambda_bg]) is x0 with the
+    entries at the indices ``free`` replaced by the free coordinates u;
+    ``lower`` and ``upper`` are _LOG_BOUNDS on u.
     """
 
-    leak_map: _LeakMap
+    species: IonSpecies
+    scheme: Scheme
+    tau_d: float
     dark_c: np.ndarray
     bright_c: np.ndarray | None
     n_top: int
-    tie: np.ndarray
-    offset: np.ndarray
-    bounded: tuple
+    x0: np.ndarray
+    free: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
 
     def point(self, u):
-        """Log leak coordinates v and log natural parameters at u."""
-        v = self.tie @ u + self.offset
-        logs = self.leak_map.natural(*v[:3])
-        if len(v) == 4:
-            logs["lambda_bg"] = float(v[3])
-        return v, logs
-
-    def inside(self, logs: dict, margin: float) -> bool:
-        """Whether every bounded log parameter lies margin inside _LOG_BOUNDS."""
-        return all(
-            _LOG_BOUNDS[name][0] + margin <= logs[name] <= _LOG_BOUNDS[name][1] - margin
-            for name in self.bounded
-        )
+        x = self.x0.copy()
+        x[self.free] = u
+        return x
 
 
 def _leak_jacobians(n, lambda0, a1, a2, dark, bright):
@@ -236,25 +223,25 @@ def _leak_jacobians(n, lambda0, a1, a2, dark, bright):
 def _objective(u, problem: _Problem):
     """NLL, its gradient and the expected Fisher matrix at free coordinates u.
 
-    A point whose natural parameters leave _LOG_BOUNDS, with a1 >= 1 or
-    whose pmf needs more than MAX_BINS bins gives (inf, None, None). Called as a module global: the benchmark
-    tracer hooks it by name.
+    A point with a1 >= 1 or whose pmf needs more than MAX_BINS bins gives
+    (inf, None, None). Called as a module global: the benchmark tracer
+    hooks it by name.
     """
-    v, logs = problem.point(u)
-    if not (v[1] < 0.0 and problem.inside(logs, 0.0)):
-        return math.inf, None, None
-    lambda0, a1, a2 = np.exp(v[:3]).tolist()
-    lambda_bg = math.exp(v[3]) if len(v) == 4 else 0.0
-    top = max(problem.n_top, histogram_cutoff(lambda0 + lambda_bg))
-    if top > MAX_BINS:
-        return math.inf, None, None
-    n = np.arange(top + 1.0)
+    x = problem.point(u)
+    eta, s, p_impure = np.exp(x[:3]).tolist()
+    leak = _leak(problem.species, problem.scheme, problem.tau_d, eta, s, p_impure)
+    lambda0, a1, a2 = leak.lambda0, leak.alpha1 / eta, leak.alpha2 / eta
+    lambda_bg = math.exp(x[3]) if len(x) == 4 else 0.0
     try:
+        top = max(problem.n_top, histogram_cutoff(lambda0 + lambda_bg))
+        if not (a1 < 1.0 and top <= MAX_BINS):
+            return math.inf, None, None
+        n = np.arange(top + 1.0)
         dark, bright = count_pmfs(n, lambda0, a1, a2)
     except DomainError:
         return math.inf, None, None
     d_dark, d_bright = _leak_jacobians(n, lambda0, a1, a2, dark, bright)
-    if len(v) == 4:
+    if len(x) == 4:
         bg = _background_pmf(lambda_bg)
         d_bg = (np.arange(len(bg)) - lambda_bg) * bg
 
@@ -265,13 +252,21 @@ def _objective(u, problem: _Problem):
 
         dark, d_dark = smear(dark, d_dark)
         bright, d_bright = smear(bright, d_bright)
+    # d log(lambda0, a1, a2, lambda_bg) / dx at zero detuning, with sigma = s/(1+s)
+    sigma = s / (1.0 + s)
+    chain = np.array([
+        [1.0, 1.0 - sigma, 0.0, 0.0],
+        [-1.0, sigma, 0.0, 0.0],
+        [-1.0, sigma, 1.0 / (1.0 - p_impure) if problem.scheme is Scheme.P32 else 0.0, 0.0],
+        [0.0, 0.0, 0.0, 1.0],
+    ])[: len(x), problem.free]
     nll = 0.0
-    grad = np.zeros(problem.tie.shape[1])
-    fisher = np.zeros((len(grad), len(grad)))
+    grad = np.zeros(len(u))
+    fisher = np.zeros((len(u), len(u)))
     for counts, pmf, jac in ((problem.dark_c, dark, d_dark), (problem.bright_c, bright, d_bright)):
         if counts is None:
             continue
-        jac = problem.tie.T @ jac
+        jac = chain.T @ jac
         p = np.clip(pmf, 1e-300, None)
         nll -= float(counts @ np.log(p[: len(counts)]))
         grad -= jac[:, : len(counts)] @ (counts / p[: len(counts)])
@@ -280,12 +275,16 @@ def _objective(u, problem: _Problem):
 
 
 def _score(u, problem: _Problem):
-    """Fisher scoring with step halving from u: (u, nll, steps, converged)."""
+    """Projected Fisher scoring with step halving from u: (u, nll, steps, converged)."""
     nll, grad, fisher = _objective(u, problem)
     steps = 0
     while math.isfinite(nll) and steps < _MAX_STEPS:
+        # a coordinate near the bound that the gradient pushes it toward
+        # moves onto that bound; the Fisher step is solved on the others
+        step = np.where(grad > 0.0, problem.lower, problem.upper) - u
+        free = np.abs(step) > _ACTIVE_TOL
         try:
-            step = np.linalg.solve(fisher, -grad)
+            step[free] = np.linalg.solve(fisher[free][:, free], -grad[free])
         except np.linalg.LinAlgError:
             break
         decrease = -float(grad @ step)
@@ -294,13 +293,14 @@ def _score(u, problem: _Problem):
         if np.abs(step).max() <= _STEP_TOL or decrease <= _NLL_RTOL * abs(nll):
             return u, nll, steps, True
         while np.abs(step).max() > _STEP_TOL:
-            trial = _objective(u + step, problem)
+            trial_u = np.clip(u + step, problem.lower, problem.upper)
+            trial = _objective(trial_u, problem)
             if trial[0] < nll:
                 break
             step = step / 2.0
         else:
             break
-        u = u + step
+        u = trial_u
         nll, grad, fisher = trial
         steps += 1
     return u, nll, steps, False
@@ -311,35 +311,27 @@ def _setup(dark_c, bright_c, species, tau_d, fit_background, scheme):
 
     lambda0 starts at the bright mean (5 without one), a1 at the value
     that gives the dark zero-bin frequency, and a2 at a1; the start is
-    then clamped into _LOG_BOUNDS in the natural coordinates.
+    then clipped 0.01 inside _LOG_BOUNDS. p_impure is held under p12 and
+    in a dark-only fit.
     """
-    leak_map = _LeakMap(species, scheme, tau_d)
     if bright_c is not None:
         lambda0 = max(float(np.arange(len(bright_c)) @ bright_c / bright_c.sum()), 0.5)
     else:
         lambda0 = 5.0
     zero = dark_c[0] / dark_c.sum()
     log_a1 = math.log(min(max(-math.log(zero) / lambda0 if zero > 0 else 1.0, 1e-12), 0.5))
-    logs = leak_map.natural(math.log(lambda0), log_a1, log_a1)
-    v0 = leak_map.leak(*(
-        min(max(logs[name], _LOG_BOUNDS[name][0] + 0.01), _LOG_BOUNDS[name][1] - 0.01)
-        for name in ("eta", "s", "p_impure")
-    ))
-    bounded = ["eta", "s"]
-    if fit_background:
-        v0 = np.append(v0, math.log(_LAMBDA_BG_START))
-        bounded.append("lambda_bg")
-    tie = np.eye(len(v0))
+    logs = _LeakMap(species, scheme, tau_d).natural(math.log(lambda0), log_a1, log_a1)
+    logs["lambda_bg"] = math.log(_LAMBDA_BG_START)
+    names = ["eta", "s", "p_impure"] + (["lambda_bg"] if fit_background else [])
+    lower, upper = np.array([_LOG_BOUNDS[name] for name in names]).T
+    x0 = np.clip([logs[name] for name in names], lower + 0.01, upper - 0.01)
+    free = np.arange(len(names))
     if scheme is Scheme.P12 or bright_c is None:
-        tie[2] = tie[1] if scheme is Scheme.P12 else 0.0
-        tie = np.delete(tie, 2, axis=1)
-        u0 = np.delete(v0, 2)
-    else:
-        bounded.append("p_impure")
-        u0 = v0
+        free = np.delete(free, 2)
     n_top = max(len(dark_c), 0 if bright_c is None else len(bright_c)) - 1
-    problem = _Problem(leak_map, dark_c, bright_c, n_top, tie, v0 - tie @ u0, tuple(bounded))
-    return problem, u0
+    problem = _Problem(species, scheme, tau_d, dark_c, bright_c, n_top, x0, free,
+                       lower[free], upper[free])
+    return problem, x0[free]
 
 
 def fit_histograms(
@@ -358,7 +350,9 @@ def fit_histograms(
     attempt a dark-only fit; the polarization impurity is then
     completely unconstrained, so such fits report converged=False, as do
     p12 fits, whose model does not depend on the impurity. An all-zero
-    histogram is rejected outright. ``iterations`` counts scoring steps.
+    histogram is rejected outright, and so is a detection time at whose
+    start point the likelihood is not finite. ``iterations`` counts
+    scoring steps.
     """
     if not tau_d > 0:
         raise DomainError(f"detection time must be > 0, got {tau_d}")
@@ -367,41 +361,15 @@ def fit_histograms(
     bright_c = _counts(bright_hist, "bright") if bright_hist is not None else None
     problem, u0 = _setup(dark_c, bright_c, species, tau_d, fit_background, scheme)
     u, nll, steps, converged = _score(u0, problem)
-
-    v, logs = problem.point(u)
-    lambda0, a1, a2 = np.exp(v[:3]).tolist()
-    params = {name: math.exp(x) for name, x in logs.items()}
-    leak = detection_params(species, DetectionConfig(
-        scheme=scheme,
-        s=params["s"],
-        delta=0.0,
-        tau_d=tau_d,
-        eta=params["eta"],
-        p_pi=params["p_impure"] / 2.0,
-        p_minus=params["p_impure"] / 2.0,
-    ))
-    reproduced = all(
-        math.isclose(got, want, rel_tol=1e-9)
-        for got, want in zip(
-            (leak.lambda0, leak.alpha1, leak.alpha2),
-            (lambda0, a1 * params["eta"], a2 * params["eta"]),
+    if not math.isfinite(nll):
+        raise DomainError(
+            f"the histograms have no finite likelihood at the fit's start for tau_d = {tau_d:.9g} s;"
+            " check that tau_d matches them"
         )
-    )
-    converged = (
-        converged
-        and reproduced
-        and problem.inside(logs, 1e-3)
-        and "p_impure" in problem.bounded
-    )
-    return FitResult(
-        eta=params["eta"],
-        s=params["s"],
-        p_impure=params["p_impure"],
-        lambda_bg=params.get("lambda_bg"),
-        neg_log_likelihood=nll,
-        converged=converged,
-        iterations=steps,
-    )
+    eta, s, p_impure, *lambda_bg = np.exp(problem.point(u)).tolist()
+    inside = (problem.lower + 1e-3 <= u) & (u <= problem.upper - 1e-3)
+    converged = bool(converged and inside.all() and 2 in problem.free)
+    return FitResult(eta, s, p_impure, lambda_bg[0] if lambda_bg else None, nll, converged, steps)
 
 
 def format_fit_result(result: FitResult) -> str:

@@ -495,6 +495,26 @@ class TestFailureContract:
         assert f"config key '{key}'" in proc.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "dark.csv"]
 
+    @pytest.mark.parametrize("model_csv", [False, True], ids=["text", "text-and-model"])
+    def test_fit_no_finite_likelihood(self, tmp_path, model_csv):
+        # at this detection time every point inside the fit bounds needs a
+        # pmf table beyond MAX_BINS, so the likelihood is infinite everywhere
+        (tmp_path / "dark.csv").write_text("# trials=100\nn,count\n0,60\n1,40\n")
+        (tmp_path / "bright.csv").write_text("# trials=100\nn,count\n0,10\n1,40\n2,50\n")
+        doc = {"dark_csv": "dark.csv", "bright_csv": "bright.csv", "species": "cd111",
+               "scheme": "p32", "tau_d_us": 1e300}
+        if model_csv:
+            doc["model_csv"] = "model.csv"
+        cfg = write_config(tmp_path, doc)
+        proc = run_process(["fit", "--config", cfg, "--out", "fit.txt"], tmp_path)
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+        assert "tau_d" in proc.stderr
+        assert proc.stdout == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bright.csv", "config.json",
+                                                              "dark.csv"]
+
 
 def _smallest_over_cap(bins):
     """The smallest integer value whose count table would pass MAX_BINS."""

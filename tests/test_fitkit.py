@@ -28,20 +28,20 @@ TAU_D = 150e-6
 TRUTH = dict(eta=1.4e-3, s=0.25, p_impure=1.5e-3)
 
 
-def truth_leak(scheme=Scheme.P32):
+def truth_leak(scheme=Scheme.P32, truth=TRUTH):
     config = DetectionConfig(
-        scheme=scheme, s=TRUTH["s"], delta=0.0, tau_d=TAU_D,
-        eta=TRUTH["eta"], p_pi=TRUTH["p_impure"] / 2,
-        p_minus=TRUTH["p_impure"] / 2)
+        scheme=scheme, s=truth["s"], delta=0.0, tau_d=TAU_D,
+        eta=truth["eta"], p_pi=truth["p_impure"] / 2,
+        p_minus=truth["p_impure"] / 2)
     return detection_params(CD, config)
 
 
-def mc_pair(trials, dark_seed, bright_seed, scheme=Scheme.P32):
-    leak = truth_leak(scheme)
-    dark = simulate_histogram(leak, TRUTH["eta"], McConfig(
+def mc_pair(trials, dark_seed, bright_seed, scheme=Scheme.P32, truth=TRUTH):
+    leak = truth_leak(scheme, truth)
+    dark = simulate_histogram(leak, truth["eta"], McConfig(
         trials=trials, seed=dark_seed, mode=McMode.RATE_EQUATION,
         initial=InitialState.DARK))
-    bright = simulate_histogram(leak, TRUTH["eta"], McConfig(
+    bright = simulate_histogram(leak, truth["eta"], McConfig(
         trials=trials, seed=bright_seed, mode=McMode.RATE_EQUATION,
         initial=InitialState.BRIGHT))
     return dark, bright
@@ -264,6 +264,45 @@ class TestScoringInternals:
         res = fit_histograms(dark, bright, CD, TAU_D)
         assert not res.converged
         assert res.iterations == 0
+        assert all(math.isfinite(v) for v in (res.eta, res.s, res.p_impure,
+                                               res.neg_log_likelihood))
+
+
+class TestBounds:
+    def test_constrained_optimum_on_p_impure_bound(self):
+        # a calibration draw whose p_impure estimate runs to its 1e-12 bound
+        truth = dict(eta=0.0012742395194455932, s=0.25957596212057915,
+                     p_impure=0.0014634068747623966)
+        dark, bright = mc_pair(20000, 3942845130, 3615214040, truth=truth)
+        res = fit_histograms(dark, bright, CD, TAU_D)
+        assert not res.converged
+        assert res.p_impure == pytest.approx(1e-12, rel=1e-6)
+        assert res.neg_log_likelihood <= 49252.406
+
+        def nll(eta, s):
+            n_d, n_b = len(dark.values), len(bright.values)
+            d_pmf, b_pmf = model_distributions(CD, TAU_D, eta, s, res.p_impure,
+                                               n_top=max(n_d, n_b) - 1)
+            return -float(np.asarray(dark.values) @ np.log(np.clip(d_pmf[:n_d], 1e-300, None))
+                          + np.asarray(bright.values) @ np.log(np.clip(b_pmf[:n_b], 1e-300, None)))
+
+        # the free parameters sit at the optimum along the bound
+        best = nll(res.eta, res.s)
+        for de in (-1, 0, 1):
+            for ds in (-1, 0, 1):
+                assert nll(res.eta * (1 + 1e-4 * de), res.s * (1 + 1e-4 * ds)) >= best, (de, ds)
+
+    def test_spike_histograms_take_few_steps(self):
+        rng = np.random.default_rng(5)
+        hists = []
+        for _ in range(4):
+            values = np.zeros(200)
+            at = rng.choice(200, 8, replace=False)
+            values[at] = rng.integers(50, 501, 8)
+            hists.append(PhotonHistogram(values=tuple(values), kind=HistKind.MEASURED))
+        # the second dark/bright pair of random spikes, which no parameter point fits
+        res = fit_histograms(hists[2], hists[3], CD, 1e-3)
+        assert res.iterations <= 40
         assert all(math.isfinite(v) for v in (res.eta, res.s, res.p_impure,
                                                res.neg_log_likelihood))
 
