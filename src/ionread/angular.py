@@ -339,8 +339,17 @@ def branching_ratios(nuclear_spin, scheme) -> BranchingRatios:
     P3/2 scheme: m1 = 4I(3+2I)/(9(1+2I)^2), m2_pi = 4I/(9+18I),
     m2_minus = 16I/(9(1+2I)^3), each a product of a squared excitation
     strength and the matching squared decay strengths of ``cg_squared``.
-    P1/2 scheme (I = 1/2 only): every ratio is 2/9.
+    P1/2 scheme (I = 1/2 only): every ratio is 2/9. Cached per
+    (nuclear spin, scheme): the fit asks once per objective evaluation.
     """
+    try:
+        return _cached_ratios(nuclear_spin, scheme)
+    except TypeError:  # an unhashable argument, refused below
+        return _cached_ratios.__wrapped__(nuclear_spin, scheme)
+
+
+@lru_cache(maxsize=64)
+def _cached_ratios(nuclear_spin, scheme) -> BranchingRatios:
     scheme = Scheme(scheme)
     ti = _validated_spin(nuclear_spin, scheme)
     m1, m2_pi, m2_minus = _branching_fractions(ti, scheme)

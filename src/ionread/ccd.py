@@ -495,7 +495,13 @@ def crosstalk_ratio(wavelength: float, spacing: float) -> float:
 def format_readouts_csv(batch: RegisterBatch) -> str:
     """trial,ion,roi_sum,bit rows, trial-major."""
     trials, n_ions = batch.roi_sums.shape
-    columns = (np.repeat(np.arange(trials), n_ions), np.tile(np.arange(n_ions), trials),
-               batch.roi_sums.ravel(), batch.bits.ravel())
-    rows = map("%d,%d,%.9g,%d".__mod__, zip(*(c.tolist() for c in columns)))
+    sums = batch.roi_sums.ravel()
+    fmt = "%d,%d,%.9g,%d"
+    if np.all(np.abs(sums) < 1e9):
+        whole = sums.astype(np.int64)
+        # integral sums below 1e9 print the same under %d, except a -0.0 ("-0")
+        if np.array_equal(whole, sums) and not np.signbit(sums[whole == 0]).any():
+            sums, fmt = whole, "%d,%d,%d,%d"
+    columns = (np.repeat(np.arange(trials), n_ions), np.tile(np.arange(n_ions), trials), sums, batch.bits.ravel())
+    rows = map(fmt.__mod__, zip(*(c.tolist() for c in columns)))
     return "\n".join(["trial,ion,roi_sum,bit", *rows]) + "\n"

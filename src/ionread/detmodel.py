@@ -43,7 +43,7 @@ import numpy as np
 
 from .angular import Scheme, branching_ratios
 from .errors import ConfigError, DomainError
-from .specfun import _count, log_poisson, log_reg_inc_gamma
+from .specfun import _count, log_poisson, log_upper_tails, poisson_table, tail_window
 
 TWO_PI = 2.0 * math.pi
 
@@ -390,51 +390,58 @@ def dark_leak_density(lam: float, params: LeakParams, eta: float) -> float:
     return a1 * math.exp((lam - params.lambda0) * a1)
 
 
-def _check_underflow(a, x, log_p, log_rest) -> None:
-    # Where P(a, x) underflowed to 0, bound it by its leading tail term,
-    # P(a, x) <= x^a e^-x / a! * (a+1)/(a+1-x), and refuse to drop a
-    # dark leak term that could exceed ~1e-13.
-    lost = np.isneginf(log_p)
-    a, x, log_rest = (np.broadcast_to(v, lost.shape)[lost] for v in (a, x, log_rest))
-    with np.errstate(divide="ignore"):
-        bound = log_poisson(a, x) + np.log((a + 1.0) / (a + 1.0 - x))
-    if np.any(bound + log_rest > -30.0):
-        raise DomainError("dark leak term underflows: alpha1/eta is too large for lambda0")
-
-
 def count_pmfs(n, lambda0, a1: float, a2: float):
     """Dark and bright pmfs at the counts n: the kernel behind every pmf.
 
-    n is an integer count or array of counts and lambda0 broadcasts
-    against it, so a column of light levels gives one row per level. a1
-    and a2 are the leak fractions per detected photon (alpha/eta),
-    0 <= a1 < 1 and a2 >= 0; nothing is validated here. Each leak term is
-    combined in log space,
+    n is an integer count or a 1-D array of consecutive counts, and
+    lambda0 broadcasts against it, so a column of light levels gives one
+    row per level. a1 and a2 are the leak fractions per detected photon
+    (alpha/eta), 0 <= a1 < 1 and a2 >= 0; nothing is validated here.
+    With c = a1 for the dark and c = -a2 for the bright leak term, each
+    term is combined in log space,
 
-        exp(log P(n+1, x) + log a - (n+1)*log(1 -+ a) [- a1*lambda0]),
+        exp((log P(n+1, (1-c)*lambda0) + log|c| [- a1*lambda0]) - (n+1)*log(1-c)),
 
-    because its factors overflow separately at large counts. Raises
-    DomainError where P(n+1, x) underflows under a dark leak term that
-    is not negligible, instead of returning a pmf that lost its mass.
+    because its factors overflow separately at large counts. Both P come
+    from one Poisson log-pmf table at lambda0, shifted to the mean
+    (1-c)*lambda0 by k*log(1-c) + c*lambda0, through
+    ``specfun.log_upper_tails``.
     """
     n = np.asarray(n, dtype=np.float64)
     lam0 = np.asarray(lambda0, dtype=np.float64)
-    dark = np.where(n == 0, np.exp(-a1 * lam0), 0.0)
-    bright = np.exp(log_poisson(n, lam0) - a2 * lam0)
-    if a1 > 0.0:
-        x = (1.0 - a1) * lam0
-        log_p = log_reg_inc_gamma(n + 1.0, x)
-        log_rest = (math.log(a1) - a1 * lam0) - (n + 1.0) * math.log1p(-a1)
-        if log_p.min() == -np.inf:
-            _check_underflow(n + 1.0, x, log_p, log_rest)
-        dark = dark + np.exp(log_p + log_rest)
+    if a1 == 0.0 and a2 == 0.0:
+        return np.where(n == 0, np.exp(-a1 * lam0), 0.0), np.exp(log_poisson(n, lam0))
+    if lam0.ndim == 0:
+        lam0 = lam_min = lam_max = float(lam0)
+    else:
+        lam_min, lam_max = float(lam0.min()), float(lam0.max())
+    n_min, n_max = (int(n[0]), int(n[-1])) if n.ndim else (int(n), int(n))
+    lo, top, fwd = tail_window(n_min, n_max, (1.0 - a1 if a1 > 0.0 else 1.0 + a2) * lam_min,
+                               (1.0 + a2 if a2 > 0.0 else 1.0 - a1) * lam_max)
+    k, lp = poisson_table(lo, top, lam0)
+    pick = slice(n_min - lo, n_max + 1 - lo)
+    bright = np.exp(lp[..., pick] - a2 * lam0)
+    # one table row per leak term, c = a1 or -a2: log pois(k; (1 - c)*lambda0) is
+    # log pois(k; lambda0) + k*log(1 - c) + c*lambda0; the row constants are
+    # log(1 - c), c*lambda0 and log|c| [- a1*lambda0]
+    terms = [(math.log1p(-c), c * lam0, math.log(abs(c)) - max(c, 0.0) * lam0)
+             for c in (a1, -a2) if c != 0.0]
+    if lp.ndim == 1:
+        log_1mc, rate, log_c = np.array(terms).T[:, :, None]
+    else:  # a column of light levels: rate and log_c are columns too
+        log_1mc, rate, log_c = (np.array(v) for v in zip(*terms))
+        log_1mc = log_1mc[:, None, None]
+    log_p = log_upper_tails(lp + (k * log_1mc + rate), fwd)[..., pick]
+    leak = np.exp((log_p + log_c) - (n + 1.0) * log_1mc)
+    dark = leak[0] if a1 > 0.0 else np.zeros_like(bright)
+    if n_min == 0:  # no leak: the point mass at n = 0
+        if lp.ndim == 1:
+            dark[0] += np.exp(-a1 * lam0)
+        else:
+            dark[:, :1] += np.exp(-a1 * lam0)
     if a2 > 0.0:
-        bright = bright + np.exp(
-            log_reg_inc_gamma(n + 1.0, (1.0 + a2) * lam0)
-            + math.log(a2)
-            - (n + 1.0) * math.log1p(a2)
-        )
-    return dark, bright
+        bright += leak[-1]
+    return (dark, bright) if n.ndim else (dark[..., 0], bright[..., 0])
 
 
 def p_dark(n, params: LeakParams, eta: float) -> float:

@@ -85,13 +85,13 @@ def _rate_equation_chunk(rng, size, params, eta, initial):
     else:
         # leak time in units of the window: Exponential(mean 1/(a*lambda0))
         x = rng.exponential(scale=1.0 / (a * lam0), size=size)
-    no_leak = x >= 1.0
+    no_leak = int(np.count_nonzero(x >= 1.0))
+    # the mean count, in place: the time left dark (1 - min(x, 1)) or spent bright (min(x, 1)), times lambda0
+    np.minimum(x, 1.0, out=x)
     if initial is InitialState.DARK:
-        mean = np.where(no_leak, 0.0, (1.0 - np.minimum(x, 1.0)) * lam0)
-    else:
-        mean = np.minimum(x, 1.0) * lam0
-    counts = rng.poisson(mean)
-    return counts, int(no_leak.sum())
+        np.subtract(1.0, x, out=x)
+    x *= lam0
+    return rng.poisson(x), no_leak
 
 
 def _photon_level_chunk(rng, size, params, eta, initial):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from ionread.ccd import (
     CcdParams,
+    RegisterBatch,
     Roi,
     conditional_correlations,
     crosstalk_ratio,
@@ -331,6 +332,23 @@ class TestRegisterBatch:
         assert format_readouts_csv(part) == "trial,ion,roi_sum,bit\n" + "".join(
             "%d,%d,%.9g,%d\n" % (t, i, s, b) for t, r in enumerate(rows[10:110])
             for i, (s, b) in enumerate(zip(r.roi_sums, r.bits)))
+
+    @pytest.mark.parametrize("offset", [20.0, 20.37])
+    def test_csv_matches_general_format(self, offset):
+        # integral sums take the %d rows, fractional ones (offset 20.37) %.9g
+        batch = simulate_register_batch(
+            200, POS3, [12.0, 15.6, 9.0], LEAK, 1.0, CcdParams(offset=offset),
+            0.016, [600.0] * 3, 5)
+        assert format_readouts_csv(batch) == "trial,ion,roi_sum,bit\n" + "".join(
+            "%d,%d,%.9g,%d\n" % (t, i, s, b) for t, r in enumerate(batch)
+            for i, (s, b) in enumerate(zip(r.roi_sums, r.bits)))
+
+    @pytest.mark.parametrize("sums", [[0.0, -3.0, 999999999.0], [-0.0, 1.0, 2.0], [1e9, 1.0, 2.0],
+                                      [12.0, -1e9 + 1, 5.0], [np.nan, 1.0, 2.0]])
+    def test_csv_integer_edges_match_general_format(self, sums):
+        batch = RegisterBatch(np.array([sums]), np.array([[0, 1, 0]]), None)
+        assert format_readouts_csv(batch) == "trial,ion,roi_sum,bit\n" + "".join(
+            "0,%d,%.9g,%d\n" % (i, s, b) for i, (s, b) in enumerate(zip(sums, [0, 1, 0])))
 
 
 def equal_error_threshold_loop(dark_sums, bright_sums) -> float:

@@ -78,6 +78,40 @@ REGISTER_CONFIG = {
 }
 
 
+class TestRuntimeImports:
+    def test_readme_commands_never_load_scipy(self, tmp_path):
+        det = {k: FIG_CONFIG[k] for k in ("species", "scheme", "s", "tau_d_us", "eta", "p_pi", "p_minus")}
+        configs = {
+            "leak.json": {"lambda0": 12.0, "alpha1": 0.05, "alpha2": 0.0, "eta": 1.0},
+            "sp.json": {"species": "cd111", "scheme": "p32"},
+            "det.json": det,
+            "det_bright.json": {**det, "initial": "bright"},
+            "fit.json": {"dark_csv": "dark.csv", "bright_csv": "bright.csv",
+                         "species": "cd111", "scheme": "p32", "tau_d_us": 150.0},
+            "reg.json": REGISTER_CONFIG,
+        }
+        for name, doc in configs.items():
+            write_config(tmp_path, doc, name)
+        commands = [
+            ["dist", "--config", "leak.json", "--out", "dist.csv"],
+            ["optimize", "--config", "sp.json", "--eta", "0.001"],
+            ["mc", "--config", "det.json", "--trials", "20000", "--seed", "9", "--out", "dark.csv"],
+            ["mc", "--config", "det_bright.json", "--trials", "20000", "--seed", "1009", "--out", "bright.csv"],
+            ["fit", "--config", "fit.json"],
+            ["ccd-sim", "--config", "reg.json", "--trials", "20000", "--seed", "777"],
+        ]
+        env = dict(os.environ, PYTHONPATH=str(Path(ionread.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys\n"
+             "from ionread.cli import run_command\n"
+             f"codes = [run_command(argv) for argv in {commands!r}]\n"
+             "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)\n"],
+            capture_output=True, text=True, timeout=300, cwd=tmp_path, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "[0, 0, 0, 0, 0, 0] []\n"
+
+
 class TestHelp:
     def test_top_level_help(self, capsys):
         code, out, _ = run(["--help"], capsys)

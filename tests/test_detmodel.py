@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -280,10 +280,47 @@ class TestCountDistributions:
             assert abs(math.fsum(pmf) - 1.0) <= 1e-9
 
     @pytest.mark.parametrize("lambda0,a1", [(1e3, 0.79), (1e4, 0.35), (1e6, 0.04)])
-    def test_kernel_refuses_underflowed_dark_mass(self, lambda0, a1):
-        # P(n+1, (1-a1)*lambda0) underflows where the dark pmf lives
-        with pytest.raises(DomainError):
-            pmf_arrays(LeakParams(lambda0, a1, 0.0), 1.0)
+    def test_kernel_normalized_past_gammainc(self, lambda0, a1):
+        # P(n+1, (1-a1)*lambda0) is far below 1e-308 where the dark pmf lives
+        for pmf in pmf_arrays(LeakParams(lambda0, a1, 0.0), 1.0):
+            assert np.all(np.isfinite(pmf))
+            assert abs(math.fsum(pmf) - 1.0) <= 1e-9
+
+    @given(
+        st.floats(min_value=math.log(1e-3), max_value=math.log(1e4)),
+        st.floats(min_value=0.0, max_value=0.999),
+        st.floats(min_value=0.0, max_value=0.3),
+    )
+    @example(math.log(1e5), 0.5, 0.3)
+    @example(math.log(1e6), 0.01, 0.0)
+    @example(math.log(1e6), 0.35, 1e-3)
+    @example(math.log(1e6), 0.9, 0.3)
+    def test_kernel_normalized_over_domain(self, log_lambda0, a1, a2):
+        lambda0 = math.exp(log_lambda0)
+        counts = np.arange(histogram_cutoff(lambda0) + 1)
+        for pmf in count_pmfs(counts, lambda0, a1, a2):
+            assert np.all(np.isfinite(pmf))
+            assert abs(math.fsum(pmf) - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("n,lambda0,a1,a2", [
+        (11230, 1e4, 1e-6, 0.0),
+        (11230, 1e4, 0.35, 0.0),
+        (1150, 1e3, 0.79, 0.0),
+        (60, 12.0, 0.05, 0.05),
+        (11230, 1e4, 0.0, 1e-3),
+    ])
+    def test_deep_tail_bins_match_mpmath(self, n, lambda0, a1, a2):
+        # 40-digit closed forms; gammainc(n+1, 0, x) is P(n+1, x)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            lam, a, b = mpmath.mpf(lambda0), mpmath.mpf(a1), mpmath.mpf(a2)
+            dark = (mpmath.exp(-a * lam) * a / (1 - a) ** (n + 1)
+                    * mpmath.gammainc(n + 1, 0, (1 - a) * lam, regularized=True))
+            bright = (mpmath.exp(-(1 + b) * lam) * lam**n / mpmath.factorial(n)
+                      + b / (1 + b) ** (n + 1) * mpmath.gammainc(n + 1, 0, (1 + b) * lam, regularized=True))
+        got_dark, got_bright = count_pmfs(np.arange(n + 1), lambda0, a1, a2)
+        assert got_dark[n] == pytest.approx(float(dark), rel=1e-12, abs=0.0)
+        assert got_bright[n] == pytest.approx(float(bright), rel=1e-12, abs=0.0)
 
     def test_far_tail_bin_is_zero(self):
         # an underflowed P far past the cutoff is negligible, not an error

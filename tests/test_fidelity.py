@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ionread.angular import Scheme
@@ -10,6 +10,7 @@ from ionread.detmodel import LeakParams, get_species, histogram_cutoff, pmf_arra
 from ionread.errors import DomainError
 from ionread.fidelity import (
     _cdf_pair,
+    _cutoffs,
     approx_fidelity,
     best_threshold,
     fidelity_at,
@@ -219,6 +220,12 @@ class TestOptimizeAt:
         assert (res.d, res.lambda0_opt) == (ref.d, ref.lambda0_opt)
         assert res.fidelity == pytest.approx(ref.fidelity, rel=0, abs=1e-14)
 
+    @pytest.mark.parametrize("alpha1,eta", [(1.0655868719708028e-6, 1e-3), (2e-5, 0.01), (0.02, 1.0), (1e-9, 1.0)])
+    def test_grid_cutoffs_match_scalar_helper(self, alpha1, eta):
+        hi = 3.0 * math.log(1.0 / (alpha1 / eta))
+        grid = hi / 200 * np.arange(1, 201)
+        assert _cutoffs(grid).tolist() == [histogram_cutoff(lam0) for lam0 in grid]
+
 
 class TestCdfPair:
     @example(math.log(1e6), math.log(0.02), math.log(0.3))
@@ -230,8 +237,6 @@ class TestCdfPair:
         st.floats(min_value=math.log(1e-6), max_value=math.log(0.3)),
     )
     def test_cdfs_nondecreasing_and_capped(self, log_lambda0, log_a1, log_a2):
-        # the kernel raises once (alpha1/eta)*sqrt(lambda0) passes ~25
-        assume(math.exp(log_a1 + 0.5 * log_lambda0) <= 20.0)
         params = LeakParams(math.exp(log_lambda0), math.exp(log_a1), math.exp(log_a2))
         for cdf in _cdf_pair(*pmf_arrays(params, 1.0)):
             assert np.all(np.diff(cdf) >= 0.0)
