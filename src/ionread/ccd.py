@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .detmodel import LeakParams, analytic_histograms
+from .detmodel import LeakParams, pmf_arrays
 from .errors import ConfigError, DomainError
 from .mcsim import _keyed_rng
 
@@ -56,20 +56,20 @@ class CcdParams:
     gain_dist: str = "exponential"
 
     def __post_init__(self):
-        if not self.gain_g > 0:
-            raise DomainError(f"gain_g must be > 0, got {self.gain_g}")
-        if not self.readout_rms_r >= 0:
-            raise DomainError(f"readout_rms_r must be >= 0, got {self.readout_rms_r}")
+        if not 0 < self.gain_g < math.inf:
+            raise DomainError(f"gain_g must be finite and > 0, got {self.gain_g}")
+        if not 0 <= self.readout_rms_r < math.inf:
+            raise DomainError(f"readout_rms_r must be finite and >= 0, got {self.readout_rms_r}")
         if not (isinstance(self.roi_super_pixels, int) and self.roi_super_pixels >= 1):
             raise DomainError(
                 f"roi_super_pixels must be a positive integer, got {self.roi_super_pixels!r}"
             )
-        if not self.offset >= 0:
-            raise DomainError(f"offset must be >= 0, got {self.offset}")
-        if not self.counts_per_photon > 0:
-            raise DomainError(f"counts_per_photon must be > 0, got {self.counts_per_photon}")
-        if not self.psf_sigma > 0:
-            raise DomainError(f"psf_sigma must be > 0, got {self.psf_sigma}")
+        if not 0 <= self.offset < math.inf:
+            raise DomainError(f"offset must be finite and >= 0, got {self.offset}")
+        if not 0 < self.counts_per_photon < math.inf:
+            raise DomainError(f"counts_per_photon must be finite and > 0, got {self.counts_per_photon}")
+        if not 0 < self.psf_sigma < math.inf:
+            raise DomainError(f"psf_sigma must be finite and > 0, got {self.psf_sigma}")
         if self.gain_dist not in ("exponential", "fixed"):
             raise DomainError(
                 f"gain_dist must be 'exponential' or 'fixed', got {self.gain_dist!r}"
@@ -209,8 +209,9 @@ def _count_cdfs(per_ion_lambda0: tuple, alpha1: float, alpha2: float, eta: float
     so one searchsorted of row + u serves every row; and the offsets of each row and the end."""
     cdfs = []
     for lam0 in per_ion_lambda0:
-        for hist in analytic_histograms(LeakParams(lam0, alpha1, alpha2), eta):
-            cdf = np.cumsum(hist.values)
+        for pmf in pmf_arrays(LeakParams(lam0, alpha1, alpha2), eta):
+            pmf[-1] += max(0.0, 1.0 - math.fsum(pmf))  # the last bin absorbs the truncated tail
+            cdf = np.cumsum(pmf)
             cdfs.append(cdf / cdf[-1] + len(cdfs))
     return np.concatenate(cdfs), np.cumsum([0] + [len(cdf) for cdf in cdfs])
 
@@ -310,6 +311,16 @@ def synthesize_frame(
     return CcdFrame(pixels=pixels, meta=meta)
 
 
+def _thresholds(thresholds, n_rois: int) -> np.ndarray:
+    """One threshold per ROI, as an array; a NaN one would read its ion as always dark."""
+    if len(thresholds) != n_rois:
+        raise DomainError(f"{n_rois} ROIs but {len(thresholds)} thresholds")
+    thresholds = np.array(thresholds, dtype=np.float64)
+    if np.isnan(thresholds).any():
+        raise DomainError(f"thresholds must be numbers, not NaN: {thresholds.tolist()}")
+    return thresholds
+
+
 def read_register(frame: CcdFrame, rois: Sequence[Roi], thresholds: Sequence[float], truth=None) -> RegisterBatch:
     """Background-subtracted ROI sums of one frame thresholded into bits, as a one-trial batch.
 
@@ -317,8 +328,7 @@ def read_register(frame: CcdFrame, rois: Sequence[Roi], thresholds: Sequence[flo
     super-pixel is subtracted; a sum strictly above its threshold reads as
     bright. truth, if given, is the frame's states as for synthesize_frame.
     """
-    if len(rois) != len(thresholds):
-        raise DomainError(f"{len(rois)} ROIs but {len(thresholds)} thresholds")
+    thresholds = _thresholds(thresholds, len(rois))
     for i, roi in enumerate(rois):
         if roi.x0 + roi.width > frame.width or roi.y0 + roi.height > frame.height:
             raise DomainError(f"ROI {i} exceeds the {frame.width}x{frame.height} frame")
@@ -326,7 +336,7 @@ def read_register(frame: CcdFrame, rois: Sequence[Roi], thresholds: Sequence[flo
     offset = float(frame.meta.get("offset", 0.0))
     sums = np.array([[frame.pixels[r.y0 : r.y0 + r.height, r.x0 : r.x0 + r.width].sum()
                       - r.pixel_count * offset for r in rois]], dtype=np.float64)
-    bits = (sums > np.array(thresholds, dtype=np.float64)).astype(int)
+    bits = (sums > thresholds).astype(int)
     return RegisterBatch(sums, bits, None if truth is None else np.array([_parse_states(truth, len(rois))]))
 
 
@@ -364,9 +374,7 @@ def simulate_register_batch(
         raise DomainError(f"roi_super_pixels must be a perfect square, got {ccd.roi_super_pixels}")
     frame_width, frame_height = _frame_size(positions, side, frame_width, frame_height)
     n_ions = len(positions)
-    if len(thresholds) != n_ions:
-        raise DomainError(f"{n_ions} ROIs but {len(thresholds)} thresholds")
-    thresholds = np.array(thresholds, dtype=np.float64)
+    thresholds = _thresholds(thresholds, n_ions)
     fixed = None if states == "random" else _parse_states(states, n_ions)
     grid = np.arange(frame_height * frame_width).reshape(frame_height, frame_width)
     read_pixels = np.concatenate([grid[r.y0 : r.y0 + side, r.x0 : r.x0 + side].ravel()

@@ -42,12 +42,7 @@ from .detmodel import (
 )
 from .errors import ConfigError, DomainError, IonReadError
 from .fidelity import fidelity_curve, format_curve_csv, optimize_detection
-from .fitkit import (
-    fit_histograms,
-    format_fit_result,
-    format_model_csv,
-    model_vs_data_rows,
-)
+from .fitkit import fit_histograms, format_fit_result, format_model_csv
 from .mcsim import (
     InitialState,
     McConfig,
@@ -292,8 +287,7 @@ def _cmd_fit(args, cfg) -> int:
     result = fit_histograms(dark, bright, species, tau_d, fit_background=cfg["fit_background"], scheme=scheme)
     # the model file first: it can still fail, and a printed result cannot be taken back
     if cfg.get("model_csv"):
-        rows = model_vs_data_rows(result, dark, bright, species, tau_d, scheme=scheme)
-        _atomic_write(cfg["model_csv"], format_model_csv(rows))
+        _atomic_write(cfg["model_csv"], format_model_csv(result, dark, bright, species, tau_d, scheme))
     _emit(format_fit_result(result), args.out)
     return 0
 
@@ -347,8 +341,9 @@ def _leak_tables(**keys) -> list:
     return [{**style, "eta": _ETA, **keys} for style in (_DIRECT_STYLE, _SPECIES_STYLE)]
 
 
+# gain_g enters only the SNR law, which ccd-sim does not report, so it is no key
 _CCD_KEYS = {name: Key({"float": _real, "int": _integer, "str": _text}[f.type])
-             for name, f in CcdParams.__dataclass_fields__.items()}
+             for name, f in CcdParams.__dataclass_fields__.items() if name != "gain_g"}
 _CCD = _parser("an object with keys " + ", ".join(_CCD_KEYS), lambda v: isinstance(v, dict),
                lambda v: CcdParams(**_parse(v, _CCD_KEYS, "in 'ccd'", prefix="ccd.")))
 

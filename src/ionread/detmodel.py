@@ -43,7 +43,7 @@ import numpy as np
 
 from .angular import Scheme, branching_ratios
 from .errors import ConfigError, DomainError
-from .specfun import _count, log_poisson, log_upper_tails, poisson_table, tail_window
+from .specfun import _count, _cutoffs, log_poisson, log_upper_tails, poisson_table, tail_window
 
 TWO_PI = 2.0 * math.pi
 
@@ -465,7 +465,7 @@ def histogram_cutoff(lambda0: float) -> int:
     """Bin count that bounds the neglected upper tail below ~1e-12."""
     if not (math.isfinite(lambda0) and lambda0 >= 0):
         raise DomainError(f"lambda0 must be finite and >= 0, got {lambda0}")
-    return math.ceil(lambda0 + 12.0 * math.sqrt(lambda0) + 30.0)
+    return int(_cutoffs(lambda0))
 
 
 def pmf_arrays(params: LeakParams, eta: float, n_max: int | None = None):
@@ -477,21 +477,3 @@ def pmf_arrays(params: LeakParams, eta: float, n_max: int | None = None):
         raise DomainError(f"a pmf table at lambda0 = {params.lambda0:.9g} needs counts up to {n_max}, "
                           f"above the cap of {MAX_BINS}")
     return count_pmfs(np.arange(n_max + 1), params.lambda0, a1, a2)
-
-
-def analytic_histograms(
-    params: LeakParams, eta: float, n_max: int | None = None
-) -> tuple[PhotonHistogram, PhotonHistogram]:
-    """Dark and bright distributions as PhotonHistogram objects.
-
-    The final bin absorbs the truncated upper tail so both histograms sum
-    to exactly 1 and downstream consumers can treat them as complete.
-    """
-    dark, bright = pmf_arrays(params, eta, n_max)
-    dark[-1] += max(0.0, 1.0 - math.fsum(dark))
-    bright[-1] += max(0.0, 1.0 - math.fsum(bright))
-    meta = {"lambda0": params.lambda0, "alpha1": params.alpha1, "alpha2": params.alpha2, "eta": eta}
-    return (
-        PhotonHistogram(tuple(dark), HistKind.ANALYTIC, meta=dict(meta, state="dark")),
-        PhotonHistogram(tuple(bright), HistKind.ANALYTIC, meta=dict(meta, state="bright")),
-    )

@@ -33,6 +33,7 @@ from .detmodel import (
     pmf_arrays,
 )
 from .errors import DomainError
+from .specfun import _cutoffs
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -110,11 +111,6 @@ def floor_leak_ratios(species: IonSpecies, scheme) -> tuple[float, float]:
     return lp.alpha1, lp.alpha2
 
 
-def _cutoffs(grid):
-    """``histogram_cutoff`` of every light level of a grid, in one pass."""
-    return np.ceil(grid + 12.0 * np.sqrt(grid) + 30.0).astype(np.int64)
-
-
 def _lambda0_bound(alpha1: float, eta: float) -> float:
     a1 = alpha1 / eta
     if not 0 < a1 < 1:
@@ -148,7 +144,7 @@ def optimize_at(
     # its own histogram_cutoff, as best_threshold would scan it
     step = hi / grid_points
     grid = step * np.arange(1, grid_points + 1)
-    cutoffs = _cutoffs(grid)
+    cutoffs = _cutoffs(grid).astype(np.int64)
     counts = np.arange(cutoffs.max() + 1)
     dark_cum, bright_cum = _cdf_pair(
         *count_pmfs(counts, grid[:, None], alpha1 / eta, alpha2 / eta)

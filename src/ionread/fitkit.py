@@ -43,11 +43,11 @@ from .detmodel import (
     DetectionConfig,
     IonSpecies,
     PhotonHistogram,
+    _leak_fractions,
     _scheme_constants,
     count_pmfs,
     detection_params,
     histogram_cutoff,
-    pmf_arrays,
 )
 from .errors import DomainError
 from .specfun import log_poisson
@@ -98,17 +98,41 @@ def _counts(hist: PhotonHistogram, name: str) -> np.ndarray:
     return values
 
 
-def _background_pmf(lambda_bg: float) -> np.ndarray:
-    # a bright ion that cannot leak counts Poisson photons
-    counts = np.arange(histogram_cutoff(lambda_bg) + 1)
-    return count_pmfs(counts, lambda_bg, 0.0, 0.0)[1]
+def _model(species, scheme, tau_d, eta, s, p_impure, lambda_bg, n_top):
+    """Dark and bright model pmfs on 0..top and their derivatives in log(lambda0, a1, a2[, lambda_bg]).
 
-
-def _leak(species: IonSpecies, scheme: Scheme, tau_d: float, eta: float, s: float, p_impure: float):
-    """``detection_params`` at zero detuning, with p_impure split evenly."""
+    top = max(n_top, histogram_cutoff(lambda0 + lambda_bg)); a lambda_bg of
+    None or 0 convolves no background and gives (3, top + 1) derivative
+    arrays, a positive one (4, top + 1). Raises DomainError outside the
+    model's domain: alpha1/eta >= 1, or a table above MAX_BINS.
+    """
+    # zero detuning, with p_impure split evenly
     config = DetectionConfig(scheme=scheme, s=s, delta=0.0, tau_d=tau_d, eta=eta,
                              p_pi=p_impure / 2.0, p_minus=p_impure / 2.0)
-    return detection_params(species, config)
+    leak = detection_params(species, config)
+    a1, a2 = _leak_fractions(leak, eta)
+    lambda0 = leak.lambda0
+    top = max(n_top, histogram_cutoff(lambda0 + (lambda_bg or 0.0)))
+    if top > MAX_BINS:
+        raise DomainError(f"a model table at lambda0 = {lambda0:.9g} needs counts up to {top}, "
+                          f"above the cap of {MAX_BINS}")
+    n = np.arange(top + 1.0)
+    dark, bright = count_pmfs(n, lambda0, a1, a2)
+    d_dark, d_bright = _leak_jacobians(n, lambda0, a1, a2, dark, bright)
+    if lambda_bg:
+        # a bright ion that cannot leak counts Poisson photons
+        counts = n[: histogram_cutoff(lambda_bg) + 1]
+        bg = count_pmfs(counts, lambda_bg, 0.0, 0.0)[1]
+        d_bg = (counts - lambda_bg) * bg
+
+        def smear(pmf, jac):
+            rows = [np.convolve(row, bg)[: top + 1] for row in jac]
+            rows.append(np.convolve(pmf, d_bg)[: top + 1])
+            return np.convolve(pmf, bg)[: top + 1], np.array(rows)
+
+        dark, d_dark = smear(dark, d_dark)
+        bright, d_bright = smear(bright, d_bright)
+    return dark, bright, d_dark, d_bright
 
 
 def model_distributions(
@@ -122,15 +146,7 @@ def model_distributions(
     scheme: Scheme = Scheme.P32,
 ):
     """Dark and bright model pmfs on 0..n_top for one parameter point."""
-    leak = _leak(species, scheme, tau_d, eta, s, p_impure)
-    cutoff = histogram_cutoff(leak.lambda0 + (lambda_bg or 0.0))
-    top = max(n_top if n_top is not None else 0, cutoff)
-    dark, bright = pmf_arrays(leak, eta, top)
-    if lambda_bg is not None and lambda_bg > 0.0:
-        bg = _background_pmf(lambda_bg)
-        dark = np.convolve(dark, bg)[: top + 1]
-        bright = np.convolve(bright, bg)[: top + 1]
-    return dark, bright
+    return _model(species, scheme, tau_d, eta, s, p_impure, lambda_bg, n_top or 0)[:2]
 
 
 class _LeakMap:
@@ -223,35 +239,18 @@ def _leak_jacobians(n, lambda0, a1, a2, dark, bright):
 def _objective(u, problem: _Problem):
     """NLL, its gradient and the expected Fisher matrix at free coordinates u.
 
-    A point with a1 >= 1 or whose pmf needs more than MAX_BINS bins gives
+    A point outside the model's domain (see ``_model``) gives
     (inf, None, None). Called as a module global: the benchmark tracer
     hooks it by name.
     """
     x = problem.point(u)
     eta, s, p_impure = np.exp(x[:3]).tolist()
-    leak = _leak(problem.species, problem.scheme, problem.tau_d, eta, s, p_impure)
-    lambda0, a1, a2 = leak.lambda0, leak.alpha1 / eta, leak.alpha2 / eta
-    lambda_bg = math.exp(x[3]) if len(x) == 4 else 0.0
+    lambda_bg = math.exp(x[3]) if len(x) == 4 else None
     try:
-        top = max(problem.n_top, histogram_cutoff(lambda0 + lambda_bg))
-        if not (a1 < 1.0 and top <= MAX_BINS):
-            return math.inf, None, None
-        n = np.arange(top + 1.0)
-        dark, bright = count_pmfs(n, lambda0, a1, a2)
+        dark, bright, d_dark, d_bright = _model(problem.species, problem.scheme, problem.tau_d,
+                                                eta, s, p_impure, lambda_bg, problem.n_top)
     except DomainError:
         return math.inf, None, None
-    d_dark, d_bright = _leak_jacobians(n, lambda0, a1, a2, dark, bright)
-    if len(x) == 4:
-        bg = _background_pmf(lambda_bg)
-        d_bg = (np.arange(len(bg)) - lambda_bg) * bg
-
-        def smear(pmf, jac):
-            rows = [np.convolve(row, bg)[: top + 1] for row in jac]
-            rows.append(np.convolve(pmf, d_bg)[: top + 1])
-            return np.convolve(pmf, bg)[: top + 1], np.array(rows)
-
-        dark, d_dark = smear(dark, d_dark)
-        bright, d_bright = smear(bright, d_bright)
     # d log(lambda0, a1, a2, lambda_bg) / dx at zero detuning, with sigma = s/(1+s)
     sigma = s / (1.0 + s)
     chain = np.array([
@@ -386,59 +385,23 @@ def format_fit_result(result: FitResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def model_vs_data_rows(
+def format_model_csv(
     result: FitResult,
     dark_hist: PhotonHistogram,
     bright_hist: PhotonHistogram | None,
     species: IonSpecies,
     tau_d: float,
     scheme: Scheme = Scheme.P32,
-):
-    """Per-bin data counts next to the fitted model's expected counts."""
-    dark_c = np.asarray(dark_hist.values, dtype=np.float64)
-    bright_c = (
-        np.asarray(bright_hist.values, dtype=np.float64) if bright_hist is not None else None
-    )
-    n_top = max(len(dark_c), 0 if bright_c is None else len(bright_c)) - 1
-    dark_m, bright_m = model_distributions(
-        species,
-        tau_d,
-        result.eta,
-        result.s,
-        result.p_impure,
-        result.lambda_bg,
-        n_top=n_top,
-        scheme=scheme,
-    )
-    rows = []
-    for n in range(n_top + 1):
-        dc = float(dark_c[n]) if n < len(dark_c) else 0.0
-        bc = float(bright_c[n]) if bright_c is not None and n < len(bright_c) else 0.0
-        rows.append(
-            {
-                "n": n,
-                "dark_count": dc,
-                "dark_model": float(dark_m[n]) * dark_c.sum(),
-                "bright_count": bc,
-                "bright_model": (
-                    float(bright_m[n]) * bright_c.sum() if bright_c is not None else 0.0
-                ),
-            }
-        )
-    return rows
-
-
-def format_model_csv(rows) -> str:
-    lines = ["n,dark_count,dark_model,bright_count,bright_model"]
-    for row in rows:
-        lines.append(
-            "%d,%.9g,%.9g,%.9g,%.9g"
-            % (
-                row["n"],
-                row["dark_count"],
-                row["dark_model"],
-                row["bright_count"],
-                row["bright_model"],
-            )
-        )
-    return "\n".join(lines) + "\n"
+) -> str:
+    """Per-bin data counts next to the fitted model's expected counts, as CSV."""
+    # a dark-only fit has an empty bright histogram, whose columns read 0
+    hists = [np.asarray(() if h is None else h.values, dtype=np.float64)
+             for h in (dark_hist, bright_hist)]
+    bins = max(map(len, hists))
+    models = model_distributions(species, tau_d, result.eta, result.s, result.p_impure,
+                                 result.lambda_bg, n_top=bins - 1, scheme=scheme)
+    columns = [np.arange(bins)]
+    for counts, model in zip(hists, models):
+        columns += [np.pad(counts, (0, bins - len(counts))), model[:bins] * counts.sum()]
+    rows = map("%d,%.9g,%.9g,%.9g,%.9g".__mod__, zip(*(c.tolist() for c in columns)))
+    return "\n".join(["n,dark_count,dark_model,bright_count,bright_model", *rows]) + "\n"

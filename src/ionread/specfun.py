@@ -105,6 +105,14 @@ def poisson_table(lo: int, top: int, mean):
     return k, k * log_mean - mean - _LOG_FACTORIAL[lo : top + 1]
 
 
+def _cutoffs(mean):
+    """ceil(mean + 12 sqrt(mean) + 30), elementwise on an array of means: the
+    top count of a table at each mean, above which the upper tail is below ~1e-12."""
+    # math takes a fifth of numpy's time on one float, and rounds the same
+    sqrt, ceil = (math.sqrt, math.ceil) if isinstance(mean, float) else (np.sqrt, np.ceil)
+    return ceil(mean + 12.0 * sqrt(mean) + 30.0)
+
+
 def tail_window(n_min: int, n_max: int, mean_min: float, mean_max: float) -> tuple[int, int, int]:
     """(lo, top, fwd): the count range lo..top of the table that the upper
     tails at counts n_min..n_max need, for means in [mean_min, mean_max].
@@ -123,7 +131,7 @@ def tail_window(n_min: int, n_max: int, mean_min: float, mean_max: float) -> tup
     if n_max <= mean_min - 2.0:
         top = n_max
     else:
-        base = max(n_max, math.ceil(mean_max + 12.0 * math.sqrt(mean_max) + 30.0))
+        base = max(n_max, int(_cutoffs(mean_max)))
         ratio = math.inf if mean_max == 0.0 else math.log(base + 2.0) - math.log(mean_max)
         top = base + max(1, math.ceil(_PAD_LOG / ratio))
     return lo, top, min(top + 1, int(mean_max) + 2) - lo if lo <= mean_max + 1.0 else 0

@@ -66,6 +66,18 @@ class TestSnr:
             CcdParams(gain_g=0.0)
         with pytest.raises(DomainError):
             CcdParams(readout_rms_r=-1.0)
+        for name in ("gain_g", "readout_rms_r", "offset", "counts_per_photon", "psf_sigma"):
+            for value in (math.inf, math.nan):
+                with pytest.raises(DomainError, match=name):
+                    CcdParams(**{name: value})
+        # a NaN threshold would read its ion as always dark
+        with pytest.raises(DomainError, match="NaN"):
+            simulate_register_batch(100, POS3, [12.0] * 3, LEAK, 1.0, CcdParams(), 0.0,
+                                    [math.nan, 100.0, 100.0], 1)
+        frame = synthesize_frame(states="111", positions=POS3, per_ion_lambda0=[12.0] * 3,
+                                 leak=LEAK, eta=1.0, ccd=CcdParams(), crosstalk_eps=0.0, seed=3)
+        with pytest.raises(DomainError, match="NaN"):
+            read_register(frame, default_rois(POS3, frame.width, frame.height), [0.0, math.nan, 0.0])
 
 
 class TestCrosstalkRatio:

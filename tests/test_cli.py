@@ -483,14 +483,21 @@ class TestFailureContract:
     @pytest.mark.parametrize("override, trials, code, named", [
         ({"lambda0": [12, None, 12]}, 200, 2, "lambda0"),
         ({"states": 7}, 200, 2, "states"),
-        ({"ccd": {"gain_g": -1}}, 200, 2, "gain_g"),
-        ({"ccd": {"gain_g": "high"}}, 200, 2, "ccd.gain_g"),
+        ({"ccd": {"readout_rms_r": -1}}, 200, 2, "readout_rms_r"),
+        ({"ccd": {"readout_rms_r": "high"}}, 200, 2, "ccd.readout_rms_r"),
+        ({"ccd": {"gain_g": 100.0}}, 200, 2, "unknown config key 'gain_g'"),
+        ({"ccd": {"offset": math.inf}}, 200, 2, "offset must be finite"),
+        ({"ccd": {"readout_rms_r": math.inf}}, 200, 2, "readout_rms_r must be finite"),
+        ({"ccd": {"counts_per_photon": math.inf}}, 200, 2, "counts_per_photon must be finite"),
+        ({"ccd": {"psf_sigma": math.inf}}, 200, 2, "psf_sigma must be finite"),
+        ({"thresholds": [math.nan, 100, 100]}, 200, 1, "thresholds"),
         ({"positions": [[2, 3], [10, 3], [17, 3]]}, 200, 2, "positions[0]"),
         ({"thresholds": ["a", 1, 2]}, 200, 2, "thresholds"),
         ({"readouts_out": 5}, 200, 2, "readouts_out"),
         ({"seed": -1}, 200, 1, "seed"),
         ({}, 50, 1, "100 readouts"),
-    ], ids=["lambda0-null", "states-int", "gain-negative", "gain-string",
+    ], ids=["lambda0-null", "states-int", "gain-negative", "gain-string", "gain-unknown",
+            "offset-inf", "rms-inf", "counts-per-photon-inf", "psf-sigma-inf", "threshold-nan",
             "roi-left-edge", "threshold-string", "out-int", "seed-negative",
             "too-few-trials"])
     def test_ccd_sim(self, tmp_path, override, trials, code, named):

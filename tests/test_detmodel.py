@@ -14,7 +14,6 @@ from ionread.detmodel import (
     IonSpecies,
     LeakParams,
     PhotonHistogram,
-    analytic_histograms,
     count_pmfs,
     dark_leak_density,
     dark_point_mass,
@@ -374,20 +373,6 @@ class TestCountDistributions:
 
 
 class TestHistograms:
-    def test_analytic_histograms_sum_to_one(self):
-        params = LeakParams(12.0, 0.05, 0.02)
-        dark, bright = analytic_histograms(params, 1.0)
-        assert dark.kind is HistKind.ANALYTIC
-        assert math.fsum(dark.values) == pytest.approx(1.0, abs=1e-12)
-        assert math.fsum(bright.values) == pytest.approx(1.0, abs=1e-12)
-
-    def test_analytic_matches_pmf_interior(self):
-        params = LeakParams(8.0, 0.01, 0.01)
-        dark, bright = analytic_histograms(params, 1.0)
-        pd, pb = pmf_arrays(params, 1.0, len(dark.values) - 1)
-        assert np.allclose(dark.values[:-1], pd[:-1], rtol=0, atol=1e-15)
-        assert np.allclose(bright.values[:-1], pb[:-1], rtol=0, atol=1e-15)
-
     def test_histogram_validation(self):
         with pytest.raises(DomainError):
             PhotonHistogram(values=(), kind=HistKind.ANALYTIC)

@@ -10,7 +10,6 @@ from ionread.detmodel import LeakParams, get_species, histogram_cutoff, pmf_arra
 from ionread.errors import DomainError
 from ionread.fidelity import (
     _cdf_pair,
-    _cutoffs,
     approx_fidelity,
     best_threshold,
     fidelity_at,
@@ -21,6 +20,7 @@ from ionread.fidelity import (
     optimize_at,
     optimize_detection,
 )
+from ionread.specfun import _cutoffs
 
 TWO_PI = 2.0 * math.pi
 

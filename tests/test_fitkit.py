@@ -16,8 +16,8 @@ from ionread.errors import DomainError
 from ionread.fitkit import (
     fit_histograms,
     format_fit_result,
+    format_model_csv,
     model_distributions,
-    model_vs_data_rows,
 )
 from ionread.mcsim import InitialState, McConfig, McMode, simulate_histogram
 from ionread.detmodel import DetectionConfig, detection_params
@@ -204,10 +204,15 @@ class TestReporting:
     def test_model_rows_csv_shape(self):
         dark, bright = mc_pair(20000, 9, 1009)
         res = fit_histograms(dark, bright, CD, TAU_D)
-        rows = model_vs_data_rows(res, dark, bright, CD, TAU_D)
-        assert len(rows) == max(len(dark.values), len(bright.values))
-        model_dark_total = sum(r["dark_model"] for r in rows)
-        assert model_dark_total == pytest.approx(dark.trials, rel=0.01)
+        lines = format_model_csv(res, dark, bright, CD, TAU_D).splitlines()
+        assert lines[0] == "n,dark_count,dark_model,bright_count,bright_model"
+        columns = np.array([[float(v) for v in line.split(",")] for line in lines[1:]]).T
+        bins = max(len(dark.values), len(bright.values))
+        assert columns.shape == (5, bins)
+        assert columns[0].tolist() == list(range(bins))
+        for counts, data in ((dark.values, columns[1]), (bright.values, columns[3])):
+            assert data.tolist() == list(counts) + [0.0] * (bins - len(counts))
+        assert columns[2].sum() == pytest.approx(dark.trials, rel=0.01)
 
 
 class TestScoringInternals:
@@ -232,6 +237,17 @@ class TestScoringInternals:
             for e in np.eye(len(u))])
         assert len(u) == {"background": 4, "p32": 3}.get(case, 2)
         assert np.abs(central - grad).max() <= 1e-6 * np.abs(grad).min()
+        # the objective scores the same table that model_distributions returns
+        x = problem.point(u)
+        eta, s, p_impure = np.exp(x[:3]).tolist()
+        lambda_bg = math.exp(x[3]) if case == "background" else None
+        pmfs = model_distributions(CD, TAU_D, eta, s, p_impure, lambda_bg,
+                                   n_top=problem.n_top, scheme=scheme)
+        nll = 0.0
+        for counts, pmf in zip((problem.dark_c, problem.bright_c), pmfs):
+            if counts is not None:
+                nll -= float(counts @ np.log(np.clip(pmf, 1e-300, None)[: len(counts)]))
+        assert fitkit._objective(u, problem)[0] == nll
 
     @pytest.mark.parametrize("scheme", [Scheme.P32, Scheme.P12])
     @settings(max_examples=200, deadline=None)
