@@ -140,6 +140,9 @@ def _check_disjoint(rois) -> None:
 
 MAX_PIXELS = 2**22  # a 2048 x 2048 frame; frames and the pixel index are allocated per pixel
 MAX_READOUTS = 2**20  # trials x ions of one register batch, held as columns and as CSV rows
+# Iteration and the readouts CSV turn this many trials, or CSV rows, into Python objects at a time.
+_ITER_TRIALS = 1024
+_CSV_ROWS = 4096
 
 
 def _frame_size(positions, side: int, frame_width, frame_height) -> tuple[int, int]:
@@ -185,7 +188,8 @@ class RegisterBatch:
     bits and the true states (None when unknown), as (trials, ions) columns.
 
     len() counts trials; batch[k] is trial k's per-ion row and a slice is a
-    smaller batch. Iteration yields one row per trial with list columns.
+    smaller batch. Iteration yields one row per trial with list columns,
+    converting _ITER_TRIALS trials at a time.
     """
 
     roi_sums: np.ndarray
@@ -199,8 +203,10 @@ class RegisterBatch:
         return RegisterBatch(self.roi_sums[key], self.bits[key], None if self.truth is None else self.truth[key])
 
     def __iter__(self):
-        truth = repeat(None) if self.truth is None else self.truth.tolist()
-        return map(RegisterBatch, self.roi_sums.tolist(), self.bits.tolist(), truth)
+        for start in range(0, len(self), _ITER_TRIALS):
+            part = self[start : start + _ITER_TRIALS]
+            truth = repeat(None) if part.truth is None else part.truth.tolist()
+            yield from map(RegisterBatch, part.roi_sums.tolist(), part.bits.tolist(), truth)
 
 
 @lru_cache(maxsize=64)
@@ -272,10 +278,13 @@ def _sampler(positions, per_ion_lambda0, leak, eta, ccd, crosstalk_eps, frame_sh
         hit = col >= 0
         raw = np.bincount(trial[inside][hit] * len(read_pixels) + col[hit],
                           weights=amounts[inside][hit], minlength=trials * len(read_pixels))
-        raw = raw.reshape(trials, len(read_pixels)) + ccd.offset
+        # over no photons bincount returns int64 zeros, so the in-place steps need a float buffer
+        raw = raw.reshape(trials, len(read_pixels)).astype(np.float64, copy=False)
+        raw += ccd.offset
         if ccd.readout_rms_r > 0:
             raw += rng.normal(0.0, ccd.readout_rms_r, raw.shape)
-        return np.rint(np.clip(raw, 0.0, None))
+        np.clip(raw, 0.0, None, out=raw)
+        return np.rint(raw, out=raw)
 
     return expose
 
@@ -359,9 +368,9 @@ def simulate_register_batch(
 
     states is either the literal "random" (independent fair coin per ion
     per trial) or a fixed bit pattern applied to every trial. Trials are
-    drawn in blocks of BLOCK, each from its own generator keyed by (seed,
-    block index), so a seed gives the same readouts within a stream
-    version. Each ion is read through a square ROI box of
+    drawn in blocks of BLOCK from one generator re-keyed by (seed, block
+    index) for each block, so a seed gives the same readouts within a
+    stream version. Each ion is read through a square ROI box of
     ccd.roi_super_pixels super-pixels, so that count must be a perfect
     square; only the ROI pixels are drawn.
     """
@@ -381,14 +390,16 @@ def simulate_register_batch(
                                   for r in default_rois(positions, frame_width, frame_height, size=side)])
     expose = _sampler(positions, per_ion_lambda0, leak, eta, ccd, crosstalk_eps,
                       (frame_height, frame_width), read_pixels)
-    sums, truth = [], []
+    sums = np.empty((trials, n_ions))
+    truth = np.empty((trials, n_ions), dtype=np.int64)
+    rng = None
     for block, start in enumerate(range(0, trials, BLOCK)):
-        size = min(BLOCK, trials - start)
-        rng = _keyed_rng(seed, _STREAM_SALT, block)
-        truth.append(rng.integers(0, 2, (size, n_ions)) if fixed is None else np.broadcast_to(fixed, (size, n_ions)))
-        sums.append(expose(rng, truth[-1]).reshape(size, n_ions, -1).sum(axis=2))
-    sums = np.concatenate(sums) - ccd.roi_super_pixels * ccd.offset
-    return RegisterBatch(sums, (sums > thresholds).astype(int), np.concatenate(truth))
+        states = truth[start : start + BLOCK]
+        rng = _keyed_rng(seed, _STREAM_SALT, block, rng)
+        states[...] = rng.integers(0, 2, states.shape) if fixed is None else fixed
+        sums[start : start + BLOCK] = expose(rng, states).reshape(len(states), n_ions, -1).sum(axis=2)
+    sums -= ccd.roi_super_pixels * ccd.offset
+    return RegisterBatch(sums, (sums > thresholds).astype(int), truth)
 
 
 def equal_error_threshold(dark_sums, bright_sums) -> float:
@@ -397,12 +408,17 @@ def equal_error_threshold(dark_sums, bright_sums) -> float:
     Scans the midpoints between adjacent observed values and returns the
     one minimizing |dark error - bright error|, breaking ties toward the
     smaller combined error and then the lower threshold. Deterministic.
+    Both samples must be non-empty and finite.
     """
     dark = np.sort(np.asarray(dark_sums, dtype=np.float64))
     bright = np.sort(np.asarray(bright_sums, dtype=np.float64))
     if len(dark) == 0 or len(bright) == 0:
         raise DomainError("both training samples must be non-empty")
-    merged = np.unique(np.concatenate([dark, bright]))
+    if not (np.isfinite(dark).all() and np.isfinite(bright).all()):
+        raise DomainError("training samples must be finite, not NaN or infinite")
+    # the distinct values by a neighbour mask: np.unique would import numpy.ma
+    merged = np.sort(np.concatenate([dark, bright]))
+    merged = merged[np.concatenate([[True], merged[1:] != merged[:-1]])]
     if len(merged) == 1:
         return float(merged[0])
     candidates = (merged[:-1] + merged[1:]) / 2.0
@@ -492,24 +508,41 @@ def conditional_correlations(batch: RegisterBatch) -> CorrelationReport:
 def crosstalk_ratio(wavelength: float, spacing: float) -> float:
     """Fluorescence intensity of one ion at its neighbor's position,
     relative to the drive intensity: 3*wavelength^2/(4*pi*spacing^2).
-    Both lengths in the same unit."""
-    if not wavelength > 0:
-        raise DomainError(f"wavelength must be > 0, got {wavelength}")
-    if not spacing > 0:
-        raise DomainError(f"spacing must be > 0, got {spacing}")
-    return 3.0 * wavelength**2 / (4.0 * math.pi * spacing**2)
+    Both lengths in the same unit, finite and > 0, and the ratio must be
+    a finite positive number."""
+    if not 0 < wavelength < math.inf:
+        raise DomainError(f"wavelength must be finite and > 0, got {wavelength}")
+    if not 0 < spacing < math.inf:
+        raise DomainError(f"spacing must be finite and > 0, got {spacing}")
+    try:
+        ratio = 3.0 * wavelength**2 / (4.0 * math.pi * spacing**2)
+    except (OverflowError, ZeroDivisionError):  # a square left the float range
+        ratio = math.nan
+    if not 0 < ratio < math.inf:
+        raise DomainError(f"the crosstalk ratio of wavelength {wavelength} and spacing {spacing} "
+                          f"is not a finite positive number")
+    return ratio
+
+
+def _prints_as_int(sums) -> bool:
+    """Whether every sum prints the same under %d as under %.9g."""
+    if not np.all(np.abs(sums) < 1e9):
+        return False
+    whole = sums.astype(np.int64)
+    # integral sums below 1e9 print the same under %d, except a -0.0 ("-0")
+    return np.array_equal(whole, sums) and not np.signbit(sums[whole == 0]).any()
 
 
 def format_readouts_csv(batch: RegisterBatch) -> str:
-    """trial,ion,roi_sum,bit rows, trial-major."""
-    trials, n_ions = batch.roi_sums.shape
-    sums = batch.roi_sums.ravel()
-    fmt = "%d,%d,%.9g,%d"
-    if np.all(np.abs(sums) < 1e9):
-        whole = sums.astype(np.int64)
-        # integral sums below 1e9 print the same under %d, except a -0.0 ("-0")
-        if np.array_equal(whole, sums) and not np.signbit(sums[whole == 0]).any():
-            sums, fmt = whole, "%d,%d,%d,%d"
-    columns = (np.repeat(np.arange(trials), n_ions), np.tile(np.arange(n_ions), trials), sums, batch.bits.ravel())
-    rows = map(fmt.__mod__, zip(*(c.tolist() for c in columns)))
-    return "\n".join(["trial,ion,roi_sum,bit", *rows]) + "\n"
+    """trial,ion,roi_sum,bit rows, trial-major, formatted _CSV_ROWS rows at a time."""
+    n_ions = batch.roi_sums.shape[1]
+    sums, bits = batch.roi_sums.ravel(), batch.bits.ravel()
+    dtype, row = (np.int64, "%d,%d,%d,%d\n") if _prints_as_int(sums) else (np.float64, "%d,%d,%.9g,%d\n")
+    chunks = ["trial,ion,roi_sum,bit\n"]
+    for start in range(0, len(sums), _CSV_ROWS):
+        stop = min(start + _CSV_ROWS, len(sums))
+        table = np.empty((stop - start, 4), dtype)
+        table[:, 0], table[:, 1] = np.divmod(np.arange(start, stop), n_ions)
+        table[:, 2], table[:, 3] = sums[start:stop], bits[start:stop]
+        chunks.append(row * (stop - start) % tuple(table.ravel().tolist()))
+    return "".join(chunks)

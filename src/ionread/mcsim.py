@@ -65,15 +65,23 @@ class McConfig:
         object.__setattr__(self, "initial", InitialState(self.initial))
 
 
-def _keyed_rng(seed: int, salt: int, index: int) -> np.random.Generator:
+def _keyed_rng(seed: int, salt: int, index: int, rng: np.random.Generator | None = None) -> np.random.Generator:
     """Generator of block index of a seeded stream, keyed by [seed, (salt << 32) + index].
 
     Each keyed use of a seed (the MC chunks, the register blocks) has its
-    own salt, so no two uses share a key.
+    own salt, so no two uses share a key. Given rng, a Philox generator,
+    it is re-keyed in place to the state a new one would start in (zero
+    counter, empty buffer) and returned: a new Philox first draws OS
+    entropy for a seed that the key then discards.
     """
     if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
         raise DomainError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
-    return np.random.Generator(np.random.Philox(key=np.array([seed, (salt << 32) + index], dtype=np.uint64)))
+    key = np.array([seed, (salt << 32) + index], dtype=np.uint64)
+    if rng is None:
+        return np.random.Generator(np.random.Philox(key=key))
+    rng.bit_generator.state = {"bit_generator": "Philox", "state": {"counter": np.zeros(4, np.uint64), "key": key},
+                               "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return rng
 
 
 def _rate_equation_chunk(rng, size, params, eta, initial):

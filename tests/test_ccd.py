@@ -1,12 +1,14 @@
 import hashlib
 import math
 import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ionread import ccd
 from ionread.ccd import (
     CcdParams,
     RegisterBatch,
@@ -24,6 +26,7 @@ from ionread.ccd import (
 from ionread.detmodel import LeakParams, pmf_arrays
 from ionread.errors import ConfigError, DomainError
 from ionread.fidelity import optimize_at
+from ionread.mcsim import _keyed_rng
 
 POS3 = [(3, 3), (10, 3), (17, 3)]
 LEAK = LeakParams(12.0, 1e-3, 1e-3)
@@ -100,6 +103,14 @@ class TestCrosstalkRatio:
             crosstalk_ratio(0.0, 1.0)
         with pytest.raises(DomainError):
             crosstalk_ratio(1.0, -1.0)
+
+    # the CLI's wavelength_nm 1e300, spacing_um 1e300 and 1e-300, and wavelength_nm Infinity, in metres
+    @pytest.mark.parametrize("wavelength, spacing", [(1e291, 4e-6), (214.5e-9, 1e294), (214.5e-9, 1e-306),
+                                                     (math.inf, 4e-6)],
+                             ids=["wavelength-overflow", "spacing-overflow", "spacing-underflow", "wavelength-inf"])
+    def test_extremes_rejected(self, wavelength, spacing):
+        with pytest.raises(DomainError):
+            crosstalk_ratio(wavelength, spacing)
 
 
 class TestRoiGeometry:
@@ -271,6 +282,20 @@ class TestFrameSynthesis:
                              ccd=CcdParams(), crosstalk_eps=0.0, seed=1)
 
 
+class TestRegisterStream:
+    @pytest.mark.parametrize("seed", [0, 1, 777, 2**64 - 1])
+    def test_rekeyed_generator_matches_fresh(self, seed):
+        # the draws leave part-used buffers (and a spare 32-bit half) behind, which re-keying must clear
+        draws = (lambda g: g.random(7), lambda g: g.integers(0, 2, (3, 5)), lambda g: g.normal(0.0, 2.0, 9),
+                 lambda g: g.exponential(100.0, 4), lambda g: g.integers(0, 2**32, 3, dtype=np.uint32))
+        rng = _keyed_rng(seed, ccd._STREAM_SALT, 0)
+        for block in range(10):
+            assert _keyed_rng(seed, ccd._STREAM_SALT, block, rng) is rng
+            fresh = _keyed_rng(seed, ccd._STREAM_SALT, block)
+            for draw in draws:
+                assert np.array_equal(draw(rng), draw(fresh))
+
+
 class TestReadRegister:
     def test_offset_only_zero_sums(self):
         ccd = CcdParams(readout_rms_r=0.0)
@@ -363,6 +388,78 @@ class TestRegisterBatch:
             "0,%d,%.9g,%d\n" % (i, s, b) for i, (s, b) in enumerate(zip(sums, [0, 1, 0])))
 
 
+def reference_readouts_csv(batch) -> str:
+    """Reference: the row-by-row formatter that format_readouts_csv replaced."""
+    trials, n_ions = batch.roi_sums.shape
+    sums = batch.roi_sums.ravel()
+    fmt = "%d,%d,%.9g,%d"
+    if np.all(np.abs(sums) < 1e9):
+        whole = sums.astype(np.int64)
+        if np.array_equal(whole, sums) and not np.signbit(sums[whole == 0]).any():
+            sums, fmt = whole, "%d,%d,%d,%d"
+    columns = (np.repeat(np.arange(trials), n_ions), np.tile(np.arange(n_ions), trials), sums, batch.bits.ravel())
+    rows = map(fmt.__mod__, zip(*(c.tolist() for c in columns)))
+    return "\n".join(["trial,ion,roi_sum,bit", *rows]) + "\n"
+
+
+def synthetic_batch(trials, n_ions, sums="integral", truth=True, seed=0):
+    """A batch of random ROI sums: integral, off by a fractional offset, or with -0.0, NaN and 1e9 edges."""
+    rng = np.random.default_rng(seed)
+    roi_sums = rng.integers(-60, 2000, (trials, n_ions)).astype(np.float64)
+    if sums == "fractional":
+        roi_sums -= 49 * 0.37
+    elif sums == "edges":
+        flat = roi_sums.ravel()
+        flat[rng.choice(flat.size, min(flat.size, 4), replace=False)] = [-0.0, np.nan, 1e9, 1e9 + 1][:flat.size]
+    states = rng.integers(0, 2, (trials, n_ions)) if truth else None
+    return RegisterBatch(roi_sums, (roi_sums > 600.0).astype(int), states)
+
+
+ROWS = ccd._CSV_ROWS
+TRIALS = ccd._ITER_TRIALS
+
+
+class TestChunkBoundaries:
+    @pytest.mark.parametrize("sums", ["integral", "fractional", "edges"])
+    @pytest.mark.parametrize("trials, n_ions", [(ROWS - 1, 1), (ROWS, 1), (ROWS + 1, 1), (ROWS // 3, 3),
+                                                (ROWS // 3 + 1, 3), (2 * ROWS // 7 + 1, 7), (1, 5)])
+    def test_csv_matches_row_formatter(self, trials, n_ions, sums):
+        batch = synthetic_batch(trials, n_ions, sums)
+        assert format_readouts_csv(batch) == reference_readouts_csv(batch)
+
+    @pytest.mark.parametrize("truth", [True, False])
+    @pytest.mark.parametrize("trials", [1, TRIALS - 1, TRIALS, TRIALS + 1, 2 * TRIALS + 3])
+    def test_rows_match_indexing(self, trials, truth):
+        batch = synthetic_batch(trials, 3, "edges", truth)
+        rows = list(batch)
+        assert len(rows) == trials
+        assert [r.bits for r in rows] == batch.bits.tolist()
+        for k in {0, TRIALS - 1, TRIALS, TRIALS + 1, trials - 1} & set(range(trials)):
+            assert np.array_equal(rows[k].roi_sums, batch[k].roi_sums, equal_nan=True)
+            assert rows[k].bits == batch[k].bits.tolist()
+            assert rows[k].truth == (batch[k].truth.tolist() if truth else None)
+
+    def test_bounded_memory(self):
+        # transient memory grows with the chunk sizes, not with trials x ions: at the
+        # row-by-row formatter the CSV peak was 14x its length and the row loop 2.25 MB
+        n_ions = 8
+        batch = simulate_register_batch(4096, [(3 + 7 * i, 3) for i in range(n_ions)], [12.0] * n_ions, LEAK,
+                                        1.0, CcdParams(), 0.016, [600.0] * n_ions, 11)
+        tracemalloc.start()
+        try:
+            csv = format_readouts_csv(batch)
+            csv_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            correct = sum(r.bits[0] == r.truth[0] for r in batch)
+            iter_peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert correct > 0.9 * len(batch)
+        assert csv_peak <= 5 * len(csv)
+        assert iter_peak < 2**20
+
+
 def equal_error_threshold_loop(dark_sums, bright_sums) -> float:
     """Reference: the candidate-by-candidate scan equal_error_threshold replaces."""
     dark = np.sort(np.asarray(dark_sums, dtype=np.float64))
@@ -390,6 +487,13 @@ class TestThresholdTraining:
         dark = [scale * v for v in dark]
         bright = [scale * v for v in bright]
         assert equal_error_threshold(dark, bright) == equal_error_threshold_loop(dark, bright)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            equal_error_threshold([1.0, bad, 3.0], [10.0, 12.0])
+        with pytest.raises(DomainError, match="finite"):
+            equal_error_threshold([1.0, 3.0], [bad])
 
     def test_equal_error_threshold_separates(self):
         dark = [10.0, 12.0, 15.0, 20.0, 30.0]

@@ -111,6 +111,27 @@ class TestRuntimeImports:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == "[0, 0, 0, 0, 0, 0] []\n"
 
+    def test_register_paths_never_load_numpy_ma(self, tmp_path):
+        # np.unique imports numpy.ma, 1.2 MB of RSS, on its first call
+        write_config(tmp_path, REGISTER_CONFIG, "reg.json")
+        script = Path(__file__).resolve().parents[1] / "scripts" / "calibrate_crosstalk.py"
+        argv = [str(script), "--train-trials", "200", "--eval-trials", "300", "--eps-grid", "0.0", "0.016"]
+        env = dict(os.environ, PYTHONPATH=str(Path(ionread.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import runpy, sys\n"
+             "from ionread.cli import run_command\n"
+             "code = run_command(['ccd-sim', '--config', 'reg.json', '--trials', '20000', '--seed', '777'])\n"
+             "print(code, 'numpy.ma' in sys.modules, file=sys.stderr)\n"
+             f"sys.argv = {argv!r}\n"
+             "try:\n"
+             "    runpy.run_path(sys.argv[0], run_name='__main__')\n"
+             "except SystemExit as exc:\n"
+             "    print(exc.code, 'numpy.ma' in sys.modules, file=sys.stderr)\n"],
+            capture_output=True, text=True, timeout=300, cwd=tmp_path, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "0 False\n0 False\n"
+
 
 class TestHelp:
     def test_top_level_help(self, capsys):
@@ -509,6 +530,18 @@ class TestFailureContract:
         assert named in proc.stderr
         assert not (tmp_path / "readouts.csv").exists()
         assert not (tmp_path / "report.csv").exists()
+
+    @pytest.mark.parametrize("override", [{"wavelength_nm": 1e300}, {"spacing_um": 1e300},
+                                          {"spacing_um": 1e-300}, {"wavelength_nm": math.inf}],
+                             ids=["wavelength-huge", "spacing-huge", "spacing-tiny", "wavelength-inf"])
+    def test_crosstalk_extremes(self, tmp_path, override):
+        cfg = write_config(tmp_path, {"wavelength_nm": 214.5, "spacing_um": 4.0, **override})
+        proc = run_process(["crosstalk", "--config", cfg, "--out", "xt.txt"], tmp_path)
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+        assert proc.stdout == ""
+        assert not (tmp_path / "xt.txt").exists()
 
     @pytest.mark.parametrize("meta", ["trials=abc", "trials=100 seed=abc"])
     def test_fit_bad_histogram_metadata(self, tmp_path, meta):
