@@ -41,7 +41,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .angular import Scheme, branching_ratios
+from .angular import Scheme, _twice_spin, branching_ratios
 from .errors import ConfigError, DomainError
 from .specfun import _count, _cutoffs, log_poisson, log_upper_tails, poisson_table, tail_window
 
@@ -80,11 +80,7 @@ class IonSpecies:
         for fname in ("nuclear_spin", "omega_hfs"):
             if getattr(self, fname) is None:
                 raise DomainError(f"species {self.name!r} needs {fname}")
-        doubled = 2 * self.nuclear_spin
-        if doubled < 0 or abs(doubled - round(doubled)) > 1e-12:
-            raise DomainError(
-                f"nuclear spin must be a non-negative multiple of 1/2, got {self.nuclear_spin}"
-            )
+        _twice_spin(self.nuclear_spin)
         _require_positive("omega_hfs", self.omega_hfs)
         for fname in (
             "gamma_p32",

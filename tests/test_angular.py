@@ -1,157 +1,55 @@
-import math
-import random
+"""Closed-form branching ratios against products of Wigner symbols.
+
+``sympy.physics.wigner`` is the Racah oracle: it evaluates 3-j and 6-j
+symbols exactly, so the squared dipole strengths built from them are exact
+rationals and the leakage products compare with the closed forms with ==.
+"""
+
+from fractions import Fraction
+from functools import lru_cache
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
+from sympy import Rational
+from sympy.physics.wigner import wigner_3j, wigner_6j
 
-from ionread.angular import Scheme, branching_ratios, cg_squared, wigner_3j, wigner_6j
+from ionread.angular import Scheme, branching_ratios
 from ionread.errors import DomainError
 
 SPINS = (0.5, 1.5, 2.5, 3.5, 4.5)
+HALF = Rational(1, 2)
 
 
-class TestWigner3j:
-    def test_triangle_violation_is_zero(self):
-        assert wigner_3j(1, 1, 3, 0, 0, 0) == 0.0
-
-    def test_projection_sum_violation_is_zero(self):
-        assert wigner_3j(1, 1, 1, 1, 1, 1) == 0.0
-
-    def test_special_case_110(self):
-        # 3j(j, j, 0; m, -m, 0) = (-1)^(j-m) / sqrt(2j+1)
-        assert wigner_3j(1, 1, 0, 0, 0, 0) == pytest.approx(-1.0 / math.sqrt(3), rel=1e-15)
-
-    def test_orthogonality_sum(self):
-        for q in (-1.0, 0.0, 1.0):
-            total = 0.0
-            for twice_j3 in (1, 3):
-                j3 = twice_j3 / 2.0
-                for twice_m3 in range(-twice_j3, twice_j3 + 1, 2):
-                    m3 = twice_m3 / 2.0
-                    total += (2 * j3 + 1) * wigner_3j(0.5, 1, j3, 0.5, q, m3) ** 2
-            assert total == pytest.approx(1.0, abs=1e-14)
-
-    def test_matches_sympy_grid(self):
-        spw = pytest.importorskip("sympy.physics.wigner")
-        from sympy import Rational
-
-        rng = random.Random(4)
-        checked = 0
-        while checked < 40:
-            tj = [rng.randrange(0, 7) / 2.0 for _ in range(3)]
-            tm = [
-                rng.choice([m / 2.0 for m in range(-int(2 * j), int(2 * j) + 1, 2)])
-                for j in tj
-            ]
-            try:
-                mine = wigner_3j(*tj, *tm)
-            except DomainError:
-                continue
-            ref = float(spw.wigner_3j(*[Rational(round(2 * v), 2) for v in tj + tm]))
-            assert mine == pytest.approx(ref, abs=1e-14)
-            checked += 1
-
-    @given(
-        st.integers(min_value=0, max_value=6),
-        st.integers(min_value=0, max_value=6),
-        st.integers(min_value=0, max_value=12),
-    )
-    def test_column_permutation_symmetry(self, tj1, tj2, tj3_offset):
-        j1, j2 = tj1 / 2.0, tj2 / 2.0
-        lo, hi = abs(tj1 - tj2), tj1 + tj2
-        tj3 = lo + 2 * (tj3_offset % ((hi - lo) // 2 + 1))
-        j3 = tj3 / 2.0
-        m1 = -j1 if j1 else 0.0
-        m2 = min(j2, j3 - abs(m1)) if j3 >= abs(m1) else j2
-        m2 = math.floor(2 * m2) / 2.0
-        if abs(m2 - j2) % 1 != 0:
-            m2 -= 0.5
-        if abs(m2) > j2:
-            m2 = j2
-        m3 = -(m1 + m2)
-        if abs(m3) > j3 or (2 * j3 + 2 * m3) % 2 != 0:
-            return
-        base = wigner_3j(j1, j2, j3, m1, m2, m3)
-        even = wigner_3j(j2, j3, j1, m2, m3, m1)
-        odd = wigner_3j(j2, j1, j3, m2, m1, m3)
-        sign = (-1.0) ** round(j1 + j2 + j3)
-        assert even == pytest.approx(base, abs=1e-14)
-        assert odd == pytest.approx(sign * base, abs=1e-14)
-        flipped = wigner_3j(j1, j2, j3, -m1, -m2, -m3)
-        assert flipped == pytest.approx(sign * base, abs=1e-14)
-
-    def test_negative_magnitude_rejected(self):
-        with pytest.raises(DomainError):
-            wigner_3j(-1, 1, 1, 0, 0, 0)
+def _half_integer(value):
+    return Rational(round(2 * value), 2)
 
 
-class TestWigner6j:
-    def test_triangle_violation_is_zero(self):
-        assert wigner_6j(1, 1, 3, 1, 1, 1) == 0.0
+def _strength(f, fp, mf, mfp, q, spin, j_exc):
+    """Squared dipole strength |F, f> <-> |F', f'> of the S_1/2 <-> P_J' line,
+    up to the factors that depend on the line alone."""
+    return ((2 * f + 1) * (2 * fp + 1) * wigner_6j(j_exc, fp, spin, f, HALF, 1) ** 2
+            * wigner_3j(f, 1, fp, mf, q, -mfp) ** 2)
 
-    def test_one_zero_argument_closed_form(self):
-        # {a, b, c; 0, c, b} = (-1)^(a+b+c) / sqrt((2b+1)(2c+1))
-        a, b, c = 1.0, 0.5, 1.5
-        expect = (-1.0) ** round(a + b + c) / math.sqrt((2 * b + 1) * (2 * c + 1))
-        assert wigner_6j(a, b, c, 0, c, b) == pytest.approx(expect, rel=1e-15)
-        assert wigner_6j(1, 0.5, 1.5, 0, 1.5, 0.5) == pytest.approx(
-            -1.0 / (2.0 * math.sqrt(2.0)), rel=1e-15
-        )
 
-    @pytest.mark.parametrize(
-        "sextet",
-        [
-            (1, 1, 1, 1, 1, 1, 1, 1, 1),
-            (0.5, 1, 1, 0.5, 0.5, 1, 1, 1, 1),
-            (2, 1, 1, 1, 1, 2, 1, 2, 1),
-        ],
-    )
-    def test_biedenharn_elliott(self, sextet):
-        a, b, c, d, e, f, p, q, r = sextet
-        big_r = a + b + c + d + e + f + p + q + r
-        total = 0.0
-        for k in range(0, 29):
-            x = k / 2.0
-            try:
-                term = ((-1.0) ** round(big_r + x)) * (2 * x + 1)
-                term *= wigner_6j(a, b, x, c, d, p)
-                term *= wigner_6j(c, d, x, e, f, q)
-                term *= wigner_6j(e, f, x, b, a, r)
-            except DomainError:
-                continue
-            total += term
-        rhs = wigner_6j(p, q, r, e, a, d) * wigner_6j(p, q, r, f, b, c)
-        assert total == pytest.approx(rhs, abs=1e-12)
+@lru_cache(maxsize=None)
+def _cycling_norm(spin, j_exc):
+    """Total decay strength of the cycling level: F' = I+3/2 at its top
+    sublevel for P_3/2, F' = 0 for P_1/2."""
+    top = spin + j_exc if j_exc == 3 * HALF else 0
+    return sum(_strength(f, top, top - q, top, q, spin, j_exc)
+               for f in (spin - HALF, spin + HALF) for q in (-1, 0, 1))
 
-    def test_matches_sympy_grid(self):
-        spw = pytest.importorskip("sympy.physics.wigner")
-        from sympy import Rational
 
-        rng = random.Random(11)
-        checked = 0
-        while checked < 25:
-            tj1, tj2 = rng.randrange(0, 6), rng.randrange(0, 6)
-            tj3 = rng.choice(range(abs(tj1 - tj2), tj1 + tj2 + 1, 2))
-            tj5 = rng.randrange(0, 6)
-            if not range(abs(tj1 - tj5), tj1 + tj5 + 1, 2):
-                continue
-            tj6 = rng.choice(range(abs(tj1 - tj5), tj1 + tj5 + 1, 2))
-            lo = max(abs(tj2 - tj6), abs(tj5 - tj3))
-            hi = min(tj2 + tj6, tj5 + tj3)
-            opts = [t for t in range(lo, hi + 1) if (t + tj2 + tj6) % 2 == 0]
-            if not opts:
-                continue
-            tj4 = rng.choice(opts)
-            js = [t / 2.0 for t in (tj1, tj2, tj3, tj4, tj5, tj6)]
-            mine = wigner_6j(*js)
-            ref = float(spw.wigner_6j(*[Rational(t, 2) for t in (tj1, tj2, tj3, tj4, tj5, tj6)]))
-            assert mine == pytest.approx(ref, abs=1e-14)
-            checked += 1
+def cg_squared(f_ground, f_excited, m_ground, m_excited, q, nuclear_spin, scheme):
+    """Normalized squared strength C(F, F'; f, f') for polarization q, exact.
 
-    def test_negative_magnitude_rejected(self):
-        with pytest.raises(DomainError):
-            wigner_6j(1, 1, 1, -1, 1, 1)
+    The cycling level's decay strengths sum to 1. Forbidden combinations,
+    q != f' - f among them, give 0.
+    """
+    spin = _half_integer(nuclear_spin)
+    j_exc = 3 * HALF if Scheme(scheme) is Scheme.P32 else HALF
+    args = [_half_integer(v) for v in (f_ground, f_excited, m_ground, m_excited, q)]
+    value = _strength(*args, spin, j_exc) / _cycling_norm(spin, j_exc)
+    return Fraction(int(value.p), int(value.q))
 
 
 def cg_branching_products(nuclear_spin):
@@ -177,28 +75,26 @@ def cg_branching_products(nuclear_spin):
     return m1, m2_pi, m2_minus
 
 
+def exact_closed_forms(twice_spin):
+    """m1, m2_pi and m2_minus of the P3/2 scheme as exact rationals in I."""
+    spin = Fraction(twice_spin, 2)
+    return (
+        4 * spin * (3 + 2 * spin) / (9 * (1 + 2 * spin) ** 2),
+        4 * spin / (9 + 18 * spin),
+        16 * spin / (9 * (1 + 2 * spin) ** 3),
+    )
+
+
 class TestCgSquared:
     @pytest.mark.parametrize("spin", SPINS)
     def test_cycling_strength_is_one(self, spin):
         up = spin + 0.5
         top = spin + 1.5
-        assert cg_squared(up, top, up, up + 1, 1, spin, Scheme.P32) == 1.0
-
-    def test_q_mismatch_is_zero(self):
-        assert cg_squared(1, 2, 1, 1, 1, 0.5, Scheme.P32) == 0.0
-        assert cg_squared(1, 2, 0, 1, 0, 0.5, Scheme.P32) == 0.0
-
-    def test_bad_q_rejected(self):
-        with pytest.raises(DomainError):
-            cg_squared(1, 2, 0, 2, 2, 0.5, Scheme.P32)
-
-    def test_parity_violation_rejected(self):
-        with pytest.raises(DomainError):
-            cg_squared(1, 2, 0.5, 1, 1, 0.5, Scheme.P32)
+        assert cg_squared(up, top, up, up + 1, 1, spin, Scheme.P32) == 1
 
     def test_m1_product_example(self):
         m1, _, _ = cg_branching_products(0.5)
-        assert m1 == pytest.approx(2.0 / 9.0, abs=1e-15)
+        assert m1 == Fraction(2, 9)
 
     @pytest.mark.parametrize("spin", SPINS)
     def test_outputs_in_unit_interval(self, spin):
@@ -207,12 +103,12 @@ class TestCgSquared:
         for f_exc in (spin + 1.5, up, spin - 0.5):
             for q in (-1, 0, 1):
                 val = cg_squared(up, f_exc, up, up + q, q, spin, p32)
-                assert -1e-15 <= val <= 1.0 + 1e-12
+                assert 0 <= val <= 1
 
     def test_p12_channels(self):
         # lower-scheme dipole channels all carry strength 1/3
-        assert cg_squared(1, 1, 1, 1, 0, 0.5, Scheme.P12) == pytest.approx(1 / 3, rel=1e-15)
-        assert cg_squared(1, 0, 1, 0, -1, 0.5, Scheme.P12) == pytest.approx(1 / 3, rel=1e-15)
+        assert cg_squared(1, 1, 1, 1, 0, 0.5, Scheme.P12) == Fraction(1, 3)
+        assert cg_squared(1, 0, 1, 0, -1, 0.5, Scheme.P12) == Fraction(1, 3)
 
 
 class TestBranchingRatios:
@@ -239,6 +135,17 @@ class TestBranchingRatios:
         assert abs(br.m2_pi - m2_pi) <= 1e-12
         assert abs(br.m2_minus - m2_minus) <= 1e-12
 
+    def test_closed_forms_equal_cg_products_exactly(self):
+        for twice in range(1, 20):
+            assert cg_branching_products(twice / 2) == exact_closed_forms(twice), twice
+
+    def test_bit_identical_to_exact_rationals(self):
+        # each float is the exact rational rounded once
+        for twice in range(1, 2000):
+            br = branching_ratios(twice / 2, Scheme.P32)
+            exact = tuple(float(x) for x in exact_closed_forms(twice))
+            assert (br.m1, br.m2_pi, br.m2_minus) == exact, twice
+
     @pytest.mark.parametrize("spin", SPINS)
     def test_ratios_in_unit_interval(self, spin):
         br = branching_ratios(spin, Scheme.P32)
@@ -264,3 +171,8 @@ class TestBranchingRatios:
     def test_quarter_spin_rejected(self):
         with pytest.raises(DomainError):
             branching_ratios(0.75, Scheme.P32)
+
+    @pytest.mark.parametrize("spin", [float("nan"), float("inf"), 0.5000000000001, "0.5", [0.5], True])
+    def test_invalid_spin_rejected(self, spin):
+        with pytest.raises(DomainError, match="nuclear spin"):
+            branching_ratios(spin, Scheme.P32)

@@ -111,6 +111,17 @@ class TestRuntimeImports:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == "[0, 0, 0, 0, 0, 0] []\n"
 
+    def test_import_never_loads_fractions_or_decimal(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(ionread.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys\n"
+             "import ionread.cli\n"
+             "print(sorted(m for m in ('fractions', 'decimal') if m in sys.modules))\n"],
+            capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
     def test_register_paths_never_load_numpy_ma(self, tmp_path):
         # np.unique imports numpy.ma, 1.2 MB of RSS, on its first call
         write_config(tmp_path, REGISTER_CONFIG, "reg.json")
@@ -446,6 +457,17 @@ class TestExitCodes:
         code, _, err = run(["params", "--config", cfg], capsys)
         assert code == 2
         assert "xe999" in err
+
+    @pytest.mark.parametrize("spin", [0.5000000000001, float("nan"), "0.5"])
+    def test_inline_species_bad_spin_exit_2(self, tmp_path, capsys, spin):
+        # refused while the config is read, not later by the model (exit 1)
+        species = {"nuclear_spin": spin, "omega_hfs_ghz": 14.5, "gamma_p32_mhz": 60.0,
+                   "omega_hfp32_ghz": 0.8, "wavelength_p32_nm": 214.5}
+        cfg = write_config(tmp_path, {**FIG_CONFIG, "species": species})
+        code, out, err = run(["params", "--config", cfg], capsys)
+        assert code == 2
+        assert out == ""
+        assert "species" in err and "nuclear spin" in err
 
     def test_missing_required_key_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"species": "cd111", "scheme": "p32",

@@ -106,6 +106,16 @@ class TestIonSpecies:
         with pytest.raises(DomainError, match=missing):
             IonSpecies("x", spin, omega_hfs, gamma_p32=1e8, omega_hfp32=1e9)
 
+    @pytest.mark.parametrize("spin", [float("nan"), float("inf"), 0.5000000000001, "0.5", -0.5, True])
+    def test_invalid_nuclear_spin_rejected(self, spin):
+        # the same exact check as branching_ratios: within 1e-12 of a multiple of 1/2 is not one
+        with pytest.raises(DomainError, match="nuclear spin"):
+            IonSpecies("x", spin, 1e9, gamma_p32=1e8, omega_hfp32=1e9)
+
+    @pytest.mark.parametrize("spin", [0, 1, np.float64(1.5), np.int64(2)])
+    def test_half_integer_nuclear_spin_accepted(self, spin):
+        assert IonSpecies("x", spin, 1e9).nuclear_spin == spin
+
 
 class TestDetectionConfig:
     def test_valid(self):
