@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from .errors import DomainError
+from .errors import DomainError, _enum
 
 
 class Scheme(str, Enum):
@@ -86,7 +86,7 @@ def branching_ratios(nuclear_spin, scheme) -> BranchingRatios:
     excitations. P1/2 scheme (I = 1/2 only): every ratio is 2/9. Cached
     per (2I, scheme): the fit asks once per objective evaluation.
     """
-    scheme = Scheme(scheme)
+    scheme = _enum(Scheme, scheme, "scheme")
     ti = _twice_spin(nuclear_spin)
     if scheme is Scheme.P12 and ti != 1:
         raise DomainError(f"the P1/2 scheme requires nuclear spin 1/2, got {nuclear_spin}")

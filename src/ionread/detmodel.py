@@ -36,13 +36,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Mapping
 
 import numpy as np
 
 from .angular import Scheme, _twice_spin, branching_ratios
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, _enum
 from .specfun import _count, _cutoffs, log_poisson, log_upper_tails, poisson_table, tail_window
 
 TWO_PI = 2.0 * math.pi
@@ -223,7 +222,7 @@ class DetectionConfig:
     p_minus: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "scheme", Scheme(self.scheme))
+        object.__setattr__(self, "scheme", _enum(Scheme, self.scheme, "scheme"))
         if not self.s >= 0:
             raise DomainError(f"saturation parameter must be >= 0, got {self.s}")
         if not math.isfinite(self.delta):
@@ -232,7 +231,7 @@ class DetectionConfig:
             raise DomainError(f"detection time must be > 0, got {self.tau_d}")
         if not 0 < self.eta <= 1:
             raise DomainError(f"collection efficiency must be in (0, 1], got {self.eta}")
-        if self.p_pi < 0 or self.p_minus < 0:
+        if not (self.p_pi >= 0 and self.p_minus >= 0):
             raise DomainError("polarization impurities must be >= 0")
         if self.p_pi + self.p_minus >= 1:
             raise DomainError(
@@ -257,28 +256,21 @@ class LeakParams:
     def __post_init__(self):
         for fname in ("lambda0", "alpha1", "alpha2"):
             v = getattr(self, fname)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0):
+            if isinstance(v, bool) or not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0):
                 raise DomainError(f"{fname} must be finite and >= 0, got {v!r}")
-
-
-class HistKind(str, Enum):
-    ANALYTIC = "analytic"
-    SIMULATED = "simulated"
-    MEASURED = "measured"
 
 
 @dataclass
 class PhotonHistogram:
-    """A count histogram: values[n] is the probability of, or number of
-    trials yielding, exactly n detected photons."""
+    """A count histogram: values[n] is the frequency of, or number of
+    trials yielding, exactly n detected photons. trials, when given, is
+    the sum of the bins."""
 
     values: tuple
-    kind: HistKind
     trials: int | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.kind = HistKind(self.kind)
         vals = tuple(float(v) for v in self.values)
         if len(vals) == 0:
             raise DomainError("histogram must have at least one bin")
@@ -286,16 +278,8 @@ class PhotonHistogram:
             raise DomainError("histogram bins must be finite and >= 0")
         self.values = vals
         total = math.fsum(vals)
-        if self.kind is HistKind.ANALYTIC:
-            if abs(total - 1.0) > 1e-9:
-                raise DomainError(
-                    f"analytic histogram must sum to 1 within 1e-9, got {total}"
-                )
-        elif self.trials is not None:
-            if abs(total - self.trials) > 0.5:
-                raise DomainError(
-                    f"histogram bins sum to {total} but trials={self.trials}"
-                )
+        if self.trials is not None and abs(total - self.trials) > 0.5:
+            raise DomainError(f"histogram bins sum to {total} but trials={self.trials}")
 
     @property
     def total(self) -> float:
@@ -361,29 +345,6 @@ def _leak_fractions(params: LeakParams, eta: float) -> tuple[float, float]:
             f"alpha1/eta must be < 1 for the dark distribution to hold, got {a1}"
         )
     return a1, a2
-
-
-def dark_point_mass(params: LeakParams, eta: float) -> float:
-    """Probability that a dark ion never leaks: exp(-alpha1*lambda0/eta)."""
-    a1, _ = _leak_fractions(params, eta)
-    return math.exp(-a1 * params.lambda0)
-
-
-def dark_leak_density(lam: float, params: LeakParams, eta: float) -> float:
-    """Density of the latent mean count lambda of a leaking dark ion.
-
-    A leak at the fraction t/tau_d of the detection window leaves mean
-    count lambda = (1 - t/tau_d)*lambda0, distributed with density
-    (alpha1/eta) * exp((lambda - lambda0)*alpha1/eta) on (0, lambda0].
-    The point mass at lambda = 0 is reported separately by
-    ``dark_point_mass``.
-    """
-    a1, _ = _leak_fractions(params, eta)
-    if not 0.0 < lam <= params.lambda0:
-        raise DomainError(
-            f"latent mean must lie in (0, lambda0={params.lambda0}], got {lam}"
-        )
-    return a1 * math.exp((lam - params.lambda0) * a1)
 
 
 def count_pmfs(n, lambda0, a1: float, a2: float):

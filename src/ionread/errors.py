@@ -15,3 +15,12 @@ class DomainError(IonReadError, ValueError):
 
 class ConfigError(IonReadError, ValueError):
     """A configuration document or CLI argument failed validation."""
+
+
+def _enum(kind, value, what: str):
+    """value as a member of the enum kind, or a DomainError naming the accepted values."""
+    try:
+        return kind(value)
+    except ValueError:
+        accepted = ", ".join(repr(member.value) for member in kind)
+        raise DomainError(f"{what} must be one of {accepted}, got {value!r}") from None

@@ -23,7 +23,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .angular import Scheme
 from .detmodel import (
     DetectionConfig,
     IonSpecies,
@@ -75,22 +74,6 @@ def _first_best(dark_cum, bright_cum, lambda0: float) -> DiscriminationResult:
     )
 
 
-def fidelity_at(d: int, params: LeakParams, eta: float) -> DiscriminationResult:
-    """Both one-sided fidelities and their minimum at threshold d."""
-    if not isinstance(d, int) or isinstance(d, bool) or d < 0:
-        raise DomainError(f"threshold must be a non-negative integer, got {d!r}")
-    dark, bright = pmf_arrays(params, eta, d)
-    dark_fid = min(math.fsum(dark), 1.0)
-    bright_fid = max(min(1.0 - math.fsum(bright), 1.0), 0.0)
-    return DiscriminationResult(
-        d=d,
-        lambda0_opt=params.lambda0,
-        fidelity=min(dark_fid, bright_fid),
-        dark_fidelity=dark_fid,
-        bright_fidelity=bright_fid,
-    )
-
-
 def best_threshold(params: LeakParams, eta: float) -> DiscriminationResult:
     """Exhaustive threshold scan over d in [0, n_max] at fixed lambda0."""
     return _first_best(*_cdf_pair(*pmf_arrays(params, eta)), params.lambda0)
@@ -104,9 +87,7 @@ def floor_leak_ratios(species: IonSpecies, scheme) -> tuple[float, float]:
     so the upper-level scheme has alpha2 = 0 while the deliberately
     driven lower-level scheme keeps its intrinsic alpha2.
     """
-    config = DetectionConfig(
-        scheme=Scheme(scheme), s=0.0, delta=0.0, tau_d=1.0, eta=1.0
-    )
+    config = DetectionConfig(scheme=scheme, s=0.0, delta=0.0, tau_d=1.0, eta=1.0)
     lp = detection_params(species, config)
     return lp.alpha1, lp.alpha2
 
@@ -197,8 +178,8 @@ class ApproxFidelity(NamedTuple):
 
 def approx_fidelity(eta: float, alpha1: float) -> ApproxFidelity:
     """F ~ 1 - (alpha1/eta)*ln(eta/alpha1) at lambda0 ~ ln(eta/alpha1)."""
-    if not (isinstance(eta, (int, float)) and eta > 0):
-        raise DomainError(f"eta must be > 0, got {eta!r}")
+    if not (isinstance(eta, (int, float)) and 0 < eta < math.inf):
+        raise DomainError(f"eta must be finite and > 0, got {eta!r}")
     if not 0 < alpha1 < eta:
         raise DomainError(
             f"approximation needs 0 < alpha1 < eta, got alpha1={alpha1}, eta={eta}"
@@ -215,8 +196,8 @@ def max_clock_fidelity(gamma: float, omega_hfp: float) -> float:
     regardless of light level. Arguments are angular frequencies in rad/s
     (any common unit works since only the ratio enters).
     """
-    if not gamma > 0:
-        raise DomainError(f"gamma must be > 0, got {gamma}")
+    if not 0 < gamma < math.inf:
+        raise DomainError(f"gamma must be finite and > 0, got {gamma}")
     if not omega_hfp > 0:
         raise DomainError(f"omega_hfp must be > 0, got {omega_hfp}")
     return 1.0 - (4.0 / 9.0) * (gamma / (2.0 * omega_hfp)) ** 2
@@ -229,7 +210,6 @@ def fidelity_curve(species: IonSpecies, scheme, eta_grid) -> list[dict]:
     estimate so the quality of the approximation is visible across the
     whole efficiency range.
     """
-    scheme = Scheme(scheme)
     alpha1, alpha2 = floor_leak_ratios(species, scheme)
     rows = []
     for eta in eta_grid:

@@ -49,7 +49,7 @@ from .detmodel import (
     detection_params,
     histogram_cutoff,
 )
-from .errors import DomainError
+from .errors import DomainError, _enum
 from .specfun import log_poisson
 
 _LOG_BOUNDS = {
@@ -355,7 +355,7 @@ def fit_histograms(
     """
     if not tau_d > 0:
         raise DomainError(f"detection time must be > 0, got {tau_d}")
-    scheme = Scheme(scheme)
+    scheme = _enum(Scheme, scheme, "scheme")
     dark_c = _counts(dark_hist, "dark")
     bright_c = _counts(bright_hist, "bright") if bright_hist is not None else None
     problem, u0 = _setup(dark_c, bright_c, species, tau_d, fit_background, scheme)

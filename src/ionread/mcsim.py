@@ -32,8 +32,8 @@ from enum import Enum
 
 import numpy as np
 
-from .detmodel import MAX_BINS, HistKind, LeakParams, PhotonHistogram, _leak_fractions, histogram_cutoff
-from .errors import ConfigError, DomainError
+from .detmodel import MAX_BINS, LeakParams, PhotonHistogram, _leak_fractions, histogram_cutoff
+from .errors import ConfigError, DomainError, _enum
 
 CHUNK = 65536
 _KEY_SALT = 0x1CE0_D1CE
@@ -61,8 +61,8 @@ class McConfig:
             raise DomainError(f"trials must be a positive integer, got {self.trials!r}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed < 2**64:
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        object.__setattr__(self, "mode", McMode(self.mode))
-        object.__setattr__(self, "initial", InitialState(self.initial))
+        object.__setattr__(self, "mode", _enum(McMode, self.mode, "Monte Carlo mode"))
+        object.__setattr__(self, "initial", _enum(InitialState, self.initial, "initial state"))
 
 
 def _keyed_rng(seed: int, salt: int, index: int, rng: np.random.Generator | None = None) -> np.random.Generator:
@@ -171,12 +171,7 @@ def simulate_histogram(params: LeakParams, eta: float, config: McConfig) -> Phot
         "alpha2": params.alpha2,
         "eta": eta,
     }
-    return PhotonHistogram(
-        values=tuple(int(v) for v in bins),
-        kind=HistKind.SIMULATED,
-        trials=config.trials,
-        meta=meta,
-    )
+    return PhotonHistogram(values=tuple(int(v) for v in bins), trials=config.trials, meta=meta)
 
 
 def format_histogram_csv(hist: PhotonHistogram) -> str:
@@ -194,16 +189,10 @@ def format_histogram_csv(hist: PhotonHistogram) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_histogram_csv(path, hist: PhotonHistogram) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_histogram_csv(hist))
-
-
 def parse_histogram_csv(text: str) -> PhotonHistogram:
     """Inverse of format_histogram_csv; unoccupied bins read back as 0.
 
-    Files without the metadata comment are treated as measured data with
-    trials inferred from the column sum.
+    Files without the metadata comment take trials from the column sum.
     """
     meta = {}
     rows = {}
@@ -243,10 +232,9 @@ def parse_histogram_csv(text: str) -> PhotonHistogram:
         raise DomainError(f"histogram CSV row needs counts up to {max(rows)}, above the cap of {MAX_BINS}")
     width = max(rows) + 1
     values = tuple(rows.get(n, 0) for n in range(width))
-    kind = HistKind.SIMULATED if trials is not None else HistKind.MEASURED
     if trials is None:
         trials = sum(values)
-    return PhotonHistogram(values=values, kind=kind, trials=trials, meta=meta)
+    return PhotonHistogram(values=values, trials=trials, meta=meta)
 
 
 def read_histogram_csv(path) -> PhotonHistogram:

@@ -17,8 +17,7 @@ log-pmf table:
   until the pmf has fallen by 2^-60 and cut where nothing is needed,
   and ``poisson_table`` builds it.
 
-``detmodel.count_pmfs`` combines these in log space; the scalar
-functions validate their arguments and evaluate the same expressions.
+``detmodel.count_pmfs`` combines these in log space.
 
 Tested range: the kernel's pmfs are finite and sum to 1 within 1e-9 for
 lambda0 up to 1e6 and leak fractions 0 <= a1 < 1, a2 >= 0, and the
@@ -174,35 +173,3 @@ def _count(n, what: str = "count") -> int:
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise DomainError(f"{what} must be a non-negative integer, got {n!r}")
     return n
-
-
-def reg_inc_gamma(a, x: float) -> float:
-    """Regularized lower incomplete gamma function P(a, x), integer a >= 1.
-
-    P(a, x) = (1/(a-1)!) * integral_0^x exp(-t) t^(a-1) dt, so P(a, 0) = 0
-    and P(a, inf) = 1. For integer order this equals the probability that a
-    Poisson variable with mean x is >= a, the upper tail it is computed as.
-    """
-    if _count(a, "gamma order") < 1:
-        raise DomainError(f"gamma order must be >= 1, got {a}")
-    if not isinstance(x, (int, float)) or isinstance(x, bool):
-        raise DomainError(f"gamma argument must be a real number, got {x!r}")
-    if not math.isfinite(x) or x < 0.0:
-        raise DomainError(f"gamma argument must be finite and >= 0, got {x}")
-    n = int(a) - 1
-    lo, top, fwd = tail_window(n, n, x, x)
-    return float(np.exp(log_upper_tails(poisson_table(lo, top, float(x))[1], fwd)[n - lo]))
-
-
-def log_poisson_pmf(n, mean: float) -> float:
-    """log of the Poisson pmf at count n; -inf where the pmf is zero."""
-    n = _count(n)
-    mean = float(mean)
-    if not math.isfinite(mean) or mean < 0.0:
-        raise DomainError(f"Poisson mean must be finite and >= 0, got {mean}")
-    return float(log_poisson(n, mean))
-
-
-def poisson_pmf(n, mean: float) -> float:
-    """Poisson pmf exp(-mean) mean^n / n!, computed in log space."""
-    return float(np.exp(log_poisson_pmf(n, mean)))

@@ -36,9 +36,9 @@ from ionread.fidelity import (
 )
 from ionread.fitkit import fit_histograms
 from ionread.mcsim import InitialState, McConfig, McMode, simulate_histogram
-from ionread.specfun import poisson_pmf
 
 from test_angular import cg_branching_products
+from test_specfun import poisson_pmf
 
 TWO_PI = 2.0 * math.pi
 

@@ -22,7 +22,8 @@ from ionread import cli
 from ionread.ccd import MAX_PIXELS, MAX_READOUTS
 from ionread.cli import run_command
 from ionread.detmodel import MAX_BINS, histogram_cutoff
-from ionread.specfun import poisson_pmf
+
+from test_specfun import poisson_pmf
 
 SUBCOMMANDS = ["params", "dist", "optimize", "curve", "table1", "mc", "fit",
                "ccd-sim", "crosstalk"]

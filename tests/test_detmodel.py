@@ -10,13 +10,10 @@ from ionread.angular import Scheme
 from ionread.detmodel import (
     BUILTIN_SPECIES,
     DetectionConfig,
-    HistKind,
     IonSpecies,
     LeakParams,
     PhotonHistogram,
     count_pmfs,
-    dark_leak_density,
-    dark_point_mass,
     detection_params,
     get_species,
     histogram_cutoff,
@@ -26,7 +23,8 @@ from ionread.detmodel import (
     species_from_dict,
 )
 from ionread.errors import ConfigError, DomainError
-from ionread.specfun import poisson_pmf, reg_inc_gamma
+
+from test_specfun import poisson_pmf, reg_inc_gamma
 
 TWO_PI = 2.0 * math.pi
 
@@ -132,6 +130,8 @@ class TestDetectionConfig:
             dict(eta=-0.5),
             dict(p_pi=0.6, p_minus=0.5),
             dict(p_pi=-0.1),
+            dict(p_pi=math.nan),
+            dict(p_minus=math.nan),
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -140,6 +140,16 @@ class TestDetectionConfig:
         base.update(kwargs)
         with pytest.raises(DomainError):
             DetectionConfig(**base)
+
+
+class TestLeakParams:
+    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf, True, "1.0"])
+    @pytest.mark.parametrize("field", ["lambda0", "alpha1", "alpha2"])
+    def test_invalid_rejected(self, field, value):
+        kwargs = dict(lambda0=12.0, alpha1=0.0, alpha2=0.0)
+        kwargs[field] = value
+        with pytest.raises(DomainError, match=field):
+            LeakParams(**kwargs)
 
 
 class TestDetectionParams:
@@ -218,31 +228,6 @@ class TestDetectionParams:
         on_res = detection_params(get_species("cd111"), REF_CONFIG)
         off_res = detection_params(get_species("cd111"), detuned)
         assert off_res.lambda0 < on_res.lambda0
-
-
-class TestDarkLeakDensity:
-    def test_total_probability(self):
-        params = LeakParams(12.0, 0.05, 0.0)
-        integral, _ = quad(lambda lam: dark_leak_density(lam, params, 1.0), 1e-12, 12.0,
-                           epsabs=1e-13, epsrel=1e-12)
-        total = integral + dark_point_mass(params, 1.0)
-        assert total == pytest.approx(1.0, abs=1e-10)
-
-    def test_zero_alpha(self):
-        params = LeakParams(12.0, 0.0, 0.0)
-        assert dark_leak_density(5.0, params, 1.0) == 0.0
-        assert dark_point_mass(params, 1.0) == 1.0
-
-    def test_value_at_endpoint(self):
-        params = LeakParams(12.0, 0.05, 0.0)
-        assert dark_leak_density(12.0, params, 1.0) == pytest.approx(0.05, rel=1e-14)
-
-    def test_domain(self):
-        params = LeakParams(12.0, 0.05, 0.0)
-        with pytest.raises(DomainError):
-            dark_leak_density(0.0, params, 1.0)
-        with pytest.raises(DomainError):
-            dark_leak_density(12.5, params, 1.0)
 
 
 class TestCountDistributions:
@@ -385,13 +370,13 @@ class TestCountDistributions:
 class TestHistograms:
     def test_histogram_validation(self):
         with pytest.raises(DomainError):
-            PhotonHistogram(values=(), kind=HistKind.ANALYTIC)
+            PhotonHistogram(values=())
         with pytest.raises(DomainError):
-            PhotonHistogram(values=(0.5, -0.1), kind=HistKind.MEASURED)
+            PhotonHistogram(values=(0.5, -0.1))
         with pytest.raises(DomainError):
-            PhotonHistogram(values=(0.5, 0.4), kind=HistKind.ANALYTIC)
+            PhotonHistogram(values=(0.5, math.nan))
         with pytest.raises(DomainError):
-            PhotonHistogram(values=(3.0, 4.0), kind=HistKind.SIMULATED, trials=10)
+            PhotonHistogram(values=(3.0, 4.0), trials=10)
 
     def test_cutoff_monotone(self):
         assert histogram_cutoff(1.0) < histogram_cutoff(100.0)

@@ -9,10 +9,10 @@ from ionread.angular import Scheme
 from ionread.detmodel import LeakParams, get_species, histogram_cutoff, pmf_arrays
 from ionread.errors import DomainError
 from ionread.fidelity import (
+    DiscriminationResult,
     _cdf_pair,
     approx_fidelity,
     best_threshold,
-    fidelity_at,
     fidelity_curve,
     floor_leak_ratios,
     format_curve_csv,
@@ -30,6 +30,21 @@ PRINTED_P12 = {
     "yb171": {1e-3: 99.33, 1e-2: 99.93, 0.3: 99.998},
     "hg199": {1e-3: 99.43, 1e-2: 99.943, 0.3: 99.998},
 }
+
+
+def fidelity_at(d: int, params: LeakParams, eta: float) -> DiscriminationResult:
+    """Both one-sided fidelities and their minimum at threshold d, summed
+    from pmf_arrays on 0..d: the per-threshold oracle of the scans."""
+    dark, bright = pmf_arrays(params, eta, d)
+    dark_fid = min(math.fsum(dark), 1.0)
+    bright_fid = max(min(1.0 - math.fsum(bright), 1.0), 0.0)
+    return DiscriminationResult(
+        d=d,
+        lambda0_opt=params.lambda0,
+        fidelity=min(dark_fid, bright_fid),
+        dark_fidelity=dark_fid,
+        bright_fidelity=bright_fid,
+    )
 
 
 class TestFidelityAt:
@@ -63,10 +78,6 @@ class TestFidelityAt:
         )
         assert best.fidelity == pytest.approx(scan.fidelity, abs=0)
         assert best.d == scan.d
-
-    def test_negative_threshold(self):
-        with pytest.raises(DomainError):
-            fidelity_at(-1, LeakParams(5.0, 0.0, 0.0), 1.0)
 
 
 class TestOptimizeDetection:
@@ -138,6 +149,8 @@ class TestApproxFidelity:
             approx_fidelity(1e-3, 2e-3)
         with pytest.raises(DomainError):
             approx_fidelity(0.0, 1e-6)
+        with pytest.raises(DomainError):
+            approx_fidelity(math.inf, 1e-3)
 
     def test_tracks_numeric_within_factor_two(self):
         species = get_species("cd111")
@@ -166,6 +179,8 @@ class TestClockCeiling:
             max_clock_fidelity(0.0, 1.0)
         with pytest.raises(DomainError):
             max_clock_fidelity(1.0, -2.0)
+        with pytest.raises(DomainError):
+            max_clock_fidelity(math.inf, 1.0)
 
 
 class TestFidelityCurve:

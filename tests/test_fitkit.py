@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import ionread
 from ionread import fitkit
 from ionread.cli import run_command
-from ionread.detmodel import HistKind, PhotonHistogram, get_species
+from ionread.detmodel import PhotonHistogram, get_species
 from ionread.errors import DomainError
 from ionread.fitkit import (
     fit_histograms,
@@ -53,29 +53,27 @@ def with_background(hist, lambda_bg, seed):
     per_trial = np.repeat(np.arange(len(hist.values)), hist.values)
     shifted = per_trial + rng.poisson(lambda_bg, per_trial.size)
     values = np.bincount(shifted)
-    return PhotonHistogram(values=tuple(int(v) for v in values),
-                           kind=HistKind.SIMULATED, trials=hist.trials)
+    return PhotonHistogram(values=tuple(int(v) for v in values), trials=hist.trials)
 
 
 def analytic_pair(n_top=80, lambda_bg=None):
     dark, bright = model_distributions(
         CD, TAU_D, TRUTH["eta"], TRUTH["s"], TRUTH["p_impure"],
         lambda_bg=lambda_bg, n_top=n_top)
-    mk = lambda v: PhotonHistogram(values=tuple(v / v.sum()),
-                                   kind=HistKind.ANALYTIC)
+    mk = lambda v: PhotonHistogram(values=tuple(v / v.sum()))
     return mk(dark), mk(bright)
 
 
 class TestValidation:
     def test_empty_dark(self):
-        dark = PhotonHistogram(values=(0.0, 0.0), kind=HistKind.MEASURED)
+        dark = PhotonHistogram(values=(0.0, 0.0))
         _, bright = mc_pair(200, 1, 2)
         with pytest.raises(DomainError, match="dark"):
             fit_histograms(dark, bright, CD, TAU_D)
 
     def test_zero_bright_named(self):
         dark, _ = mc_pair(200, 1, 2)
-        bright = PhotonHistogram(values=(0.0, 0.0, 0.0), kind=HistKind.MEASURED)
+        bright = PhotonHistogram(values=(0.0, 0.0, 0.0))
         with pytest.raises(DomainError, match="bright"):
             fit_histograms(dark, bright, CD, TAU_D)
 
@@ -145,8 +143,7 @@ class TestRoundtrip:
 class TestConventionInvariance:
     def test_counts_vs_frequencies(self):
         dark, bright = mc_pair(20000, 9, 1009)
-        as_freq = lambda h: PhotonHistogram(values=[v / h.total for v in h.values],
-                                            kind=HistKind.MEASURED)
+        as_freq = lambda h: PhotonHistogram(values=[v / h.total for v in h.values])
         res_counts = fit_histograms(dark, bright, CD, TAU_D)
         res_freq = fit_histograms(as_freq(dark), as_freq(bright), CD, TAU_D)
         for field in ("eta", "s", "p_impure"):
@@ -315,7 +312,7 @@ class TestBounds:
             values = np.zeros(200)
             at = rng.choice(200, 8, replace=False)
             values[at] = rng.integers(50, 501, 8)
-            hists.append(PhotonHistogram(values=tuple(values), kind=HistKind.MEASURED))
+            hists.append(PhotonHistogram(values=tuple(values)))
         # the second dark/bright pair of random spikes, which no parameter point fits
         res = fit_histograms(hists[2], hists[3], CD, 1e-3)
         assert res.iterations <= 40
@@ -345,11 +342,11 @@ class TestImports:
     def test_fit_loads_no_module_after_model_call(self, tmp_path):
         proc = run_python(
             "import sys\n"
-            "from ionread.detmodel import HistKind, PhotonHistogram, get_species\n"
+            "from ionread.detmodel import PhotonHistogram, get_species\n"
             "from ionread.fitkit import fit_histograms, model_distributions\n"
             "cd = get_species('cd111')\n"
             "dark, bright = model_distributions(cd, 150e-6, 1.4e-3, 0.25, 1.5e-3, n_top=80)\n"
-            "hist = lambda v: PhotonHistogram(values=tuple(v / v.sum()), kind=HistKind.ANALYTIC)\n"
+            "hist = lambda v: PhotonHistogram(values=tuple(v / v.sum()))\n"
             "before = set(sys.modules)\n"
             "assert fit_histograms(hist(dark), hist(bright), cd, 150e-6).converged\n"
             "print(sorted(set(sys.modules) - before), 'scipy.optimize' in sys.modules)\n",

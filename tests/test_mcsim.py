@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ionread.detmodel import (
-    HistKind,
     LeakParams,
     histogram_cutoff,
     p_dark,
@@ -20,7 +19,6 @@ from ionread.mcsim import (
     parse_histogram_csv,
     read_histogram_csv,
     simulate_histogram,
-    write_histogram_csv,
 )
 
 
@@ -56,7 +54,6 @@ class TestDeterminism:
         b = simulate_histogram(params, 0.2, cfg)
         assert a.values == b.values
         assert a.trials == b.trials == 30000
-        assert a.kind is HistKind.SIMULATED
 
     def test_seed_changes_histogram(self):
         params = LeakParams(9.0, 2e-3, 1e-3)
@@ -170,11 +167,10 @@ class TestCsv:
                        initial=InitialState.BRIGHT)
         hist = simulate_histogram(params, 0.05, cfg)
         path = tmp_path / "hist.csv"
-        write_histogram_csv(path, hist)
+        path.write_text(format_histogram_csv(hist))
         back = read_histogram_csv(path)
         assert back.values == hist.values
         assert back.trials == hist.trials
-        assert back.kind is HistKind.SIMULATED
 
     def test_format_shape(self):
         params = LeakParams(5.0, 0.0, 0.0)

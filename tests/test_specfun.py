@@ -1,5 +1,9 @@
-"""The numpy-only special functions: validated scalar wrappers and the
-vectorized forms the count-distribution kernel combines."""
+"""The numpy-only special functions that the count-distribution kernel
+combines, checked through scalar helpers built from the same pieces.
+
+``poisson_pmf`` and ``reg_inc_gamma`` are test helpers: other test
+modules import them as quadrature integrands and closed-form oracles.
+"""
 
 import math
 
@@ -8,16 +12,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ionread.errors import DomainError
-from ionread.specfun import (
-    log_poisson,
-    log_poisson_pmf,
-    log_upper_tails,
-    poisson_pmf,
-    poisson_table,
-    reg_inc_gamma,
-    tail_window,
-)
+from ionread.specfun import log_poisson, log_upper_tails, poisson_table, tail_window
+
+
+def poisson_pmf(n: int, mean: float) -> float:
+    """Poisson pmf exp(-mean) mean^n / n! at count n, from the kernel's log_poisson."""
+    return float(np.exp(log_poisson(n, float(mean))))
+
+
+def reg_inc_gamma(a: int, x: float) -> float:
+    """Regularized lower incomplete gamma function P(a, x), integer a >= 1.
+
+    For integer order it is the probability that a Poisson variable with
+    mean x is >= a: the upper tail at count a-1 of one kernel table.
+    """
+    n = a - 1
+    lo, top, fwd = tail_window(n, n, x, x)
+    return float(np.exp(log_upper_tails(poisson_table(lo, top, float(x))[1], fwd)[n - lo]))
 
 
 class TestRegIncGamma:
@@ -80,27 +91,11 @@ class TestRegIncGamma:
     )
     def test_log_form_matches_scalar(self, a, x):
         # the array form, one table for the counts 0..a-1, evaluates the
-        # same P(a, x) as the scalar wrapper, whose table starts near a-1
+        # same P(a, x) as the scalar helper, whose table starts near a-1
         lo, top, fwd = tail_window(0, a - 1, x, x)
         got = log_upper_tails(poisson_table(lo, top, x)[1], fwd)[a - 1]
         p = reg_inc_gamma(a, x)
         assert math.exp(got) == pytest.approx(p, rel=1e-13, abs=1e-300)
-
-    def test_rejects_bad_a(self):
-        with pytest.raises(DomainError):
-            reg_inc_gamma(0, 1.0)
-        with pytest.raises(DomainError):
-            reg_inc_gamma(-2, 1.0)
-        with pytest.raises(DomainError):
-            reg_inc_gamma(2.5, 1.0)
-
-    def test_rejects_bad_x(self):
-        with pytest.raises(DomainError):
-            reg_inc_gamma(3, -0.5)
-        with pytest.raises(DomainError):
-            reg_inc_gamma(3, math.inf)
-        with pytest.raises(DomainError):
-            reg_inc_gamma(3, math.nan)
 
 
 class TestPoissonPmf:
@@ -125,19 +120,11 @@ class TestPoissonPmf:
     def test_no_overflow_huge_n(self):
         val = poisson_pmf(10**6, 1000.0)
         assert val == 0.0 or val > 0.0
-        assert math.isfinite(log_poisson_pmf(10**6, 1000.0))
+        assert math.isfinite(log_poisson(10**6, 1000.0))
         # the peak region of a large mean stays finite too
         assert math.isfinite(poisson_pmf(10**6, 10.0**6))
 
     @given(st.integers(min_value=0, max_value=5000), st.floats(min_value=0.0, max_value=5000.0))
     def test_array_form_matches_scalar(self, n, mean):
         counts = np.arange(n + 1, dtype=np.float64)
-        assert log_poisson(counts, mean)[n] == log_poisson_pmf(n, mean)
-
-    def test_rejects_negative_mean(self):
-        with pytest.raises(DomainError):
-            poisson_pmf(2, -1.0)
-
-    def test_rejects_negative_n(self):
-        with pytest.raises(DomainError):
-            poisson_pmf(-1, 1.0)
+        assert log_poisson(counts, mean)[n] == log_poisson(n, mean)
