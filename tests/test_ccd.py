@@ -36,6 +36,14 @@ def roi_mean(readouts, ion):
     return statistics.fmean(r.roi_sums[ion] for r in readouts)
 
 
+def whole_frame(states, positions, lam, leak, params, eps, seed, width=None, height=None):
+    """Every pixel of one eta = 1 exposure, as block 0 of the register stream draws it."""
+    width, height = ccd._frame_size(positions, math.isqrt(params.roi_super_pixels), width, height)
+    expose = ccd._sampler(positions, lam, leak, 1.0, params, eps, (height, width), np.arange(height * width))
+    bits = np.array([ccd._parse_states(states, len(positions))])
+    return expose(_keyed_rng(seed, ccd._STREAM_SALT, 0), bits).reshape(height, width).astype(np.int64)
+
+
 class TestSnr:
     def test_reference_params_value(self):
         params = CcdParams(gain_g=100.0, readout_rms_r=2.0, roi_super_pixels=49)
@@ -164,6 +172,30 @@ class TestRoiGeometry:
             Roi(x0=-1, y0=0, width=7, height=7)
         with pytest.raises(DomainError):
             Roi(x0=0, y0=0, width=0, height=7)
+
+
+# (states, positions, per-ion light, leak, imager, eps, seed, frame width, frame height)
+FRAMES = {
+    "fixed-seed": ("101", POS3, [12.0] * 3, LEAK, CcdParams(), 0.01, 31, None, None),
+    "dark-r0": ("000", POS3, [12.0] * 3, LeakParams(12.0, 0.0, 0.0), CcdParams(readout_rms_r=0.0), 0.0, 1,
+                None, None),
+    "roi-25": ("000", POS3, [12.0] * 3, LEAK, CcdParams(roi_super_pixels=25, readout_rms_r=0.0), 0.0, 1,
+               None, None),
+    **{f"conservation-{seed}": ("1", [(10, 3)], [20.0], LeakParams(20.0, 0.0, 0.0),
+                                CcdParams(readout_rms_r=0.0, psf_sigma=0.6), 0.0, seed, 21, 7)
+       for seed in (9000, 9001, 9999)},
+    "fixed-gain": ("10", [(3, 3), (10, 3)], [12.0, 20.0], LEAK, CcdParams(gain_dist="fixed", psf_sigma=0.7),
+                   0.05, 5, None, None),
+}
+
+
+@pytest.mark.parametrize("name", FRAMES)
+def test_whole_frame_matches_synthesize_frame(name):
+    states, positions, lam, leak, params, eps, seed, width, height = FRAMES[name]
+    frame = synthesize_frame(states, positions, lam, leak, 1.0, params, eps, seed,
+                             frame_width=width, frame_height=height)
+    pixels = whole_frame(states, positions, lam, leak, params, eps, seed, width, height)
+    assert pixels.dtype == frame.pixels.dtype and np.array_equal(pixels, frame.pixels)
 
 
 class TestFrameSynthesis:
