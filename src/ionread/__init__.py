@@ -2,7 +2,6 @@
 
 from .angular import BranchingRatios, Scheme, branching_ratios
 from .ccd import (
-    CcdFrame,
     CcdParams,
     CorrelationReport,
     RegisterBatch,
@@ -11,10 +10,8 @@ from .ccd import (
     crosstalk_ratio,
     default_rois,
     equal_error_threshold,
-    read_register,
     simulate_register_batch,
     snr,
-    synthesize_frame,
 )
 from .detmodel import (
     BUILTIN_SPECIES,
@@ -54,7 +51,6 @@ __all__ = [
     "ApproxFidelity",
     "BUILTIN_SPECIES",
     "BranchingRatios",
-    "CcdFrame",
     "CcdParams",
     "ConfigError",
     "CorrelationReport",
@@ -91,10 +87,8 @@ __all__ = [
     "p_dark",
     "pmf_arrays",
     "read_histogram_csv",
-    "read_register",
     "simulate_histogram",
     "simulate_register_batch",
     "snr",
-    "synthesize_frame",
     "__version__",
 ]

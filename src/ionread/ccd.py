@@ -1,5 +1,5 @@
-"""Intensified-imager model: gain chain, readout noise, ROI readout,
-synthetic multi-ion frames, and crosstalk statistics.
+"""Intensified-imager model: gain chain, readout noise, simulated ROI
+readout of a multi-ion register, and crosstalk statistics.
 
 The signal chain per detected photon: the photocathode electron is
 amplified and deposited on the (binned) pixel grid around the ion's
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, repeat
 from typing import Sequence
@@ -56,33 +56,25 @@ class CcdParams:
     gain_dist: str = "exponential"
 
     def __post_init__(self):
-        if not 0 < self.gain_g < math.inf:
-            raise DomainError(f"gain_g must be finite and > 0, got {self.gain_g}")
-        if not 0 <= self.readout_rms_r < math.inf:
-            raise DomainError(f"readout_rms_r must be finite and >= 0, got {self.readout_rms_r}")
-        if not (isinstance(self.roi_super_pixels, int) and self.roi_super_pixels >= 1):
-            raise DomainError(
-                f"roi_super_pixels must be a positive integer, got {self.roi_super_pixels!r}"
-            )
-        if not 0 <= self.offset < math.inf:
-            raise DomainError(f"offset must be finite and >= 0, got {self.offset}")
-        if not 0 < self.counts_per_photon < math.inf:
-            raise DomainError(f"counts_per_photon must be finite and > 0, got {self.counts_per_photon}")
-        if not 0 < self.psf_sigma < math.inf:
-            raise DomainError(f"psf_sigma must be finite and > 0, got {self.psf_sigma}")
+        for name, bound in (("gain_g", "> 0"), ("readout_rms_r", ">= 0"), ("offset", ">= 0"),
+                            ("counts_per_photon", "> 0"), ("psf_sigma", "> 0")):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not (isinstance(v, (int, float)) and 0 <= v < math.inf
+                                           and (v > 0 or bound == ">= 0")):
+                raise DomainError(f"{name} must be finite and {bound}, got {v!r}")
+        k = self.roi_super_pixels
+        if isinstance(k, bool) or not (isinstance(k, int) and k >= 1):
+            raise DomainError(f"roi_super_pixels must be a positive integer, got {k!r}")
         if self.gain_dist not in ("exponential", "fixed"):
             raise DomainError(
                 f"gain_dist must be 'exponential' or 'fixed', got {self.gain_dist!r}"
             )
 
-    def to_meta(self) -> dict:
-        return dict(vars(self))
-
 
 def snr(lambda0: float, params: CcdParams) -> float:
     """Signal-to-noise of a mean-lambda0 signal read through k super-pixels."""
-    if not (isinstance(lambda0, (int, float)) and lambda0 >= 0):
-        raise DomainError(f"lambda0 must be >= 0, got {lambda0!r}")
+    if isinstance(lambda0, bool) or not (isinstance(lambda0, (int, float)) and 0 <= lambda0 < math.inf):
+        raise DomainError(f"lambda0 must be finite and >= 0, got {lambda0!r}")
     if lambda0 == 0:
         return 0.0
     noise_sq = lambda0 + (params.roi_super_pixels * params.readout_rms_r / params.gain_g) ** 2
@@ -99,12 +91,10 @@ class Roi:
     height: int
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1 or self.x0 < 0 or self.y0 < 0:
-            raise DomainError(f"ROI must have positive size and non-negative origin: {self}")
-
-    @property
-    def pixel_count(self) -> int:
-        return self.width * self.height
+        box = (self.x0, self.y0, self.width, self.height)
+        if (not all(isinstance(v, int) and not isinstance(v, bool) for v in box)
+                or self.width < 1 or self.height < 1 or self.x0 < 0 or self.y0 < 0):
+            raise DomainError(f"ROI must have integer fields, positive size and non-negative origin: {self}")
 
     def overlaps(self, other: "Roi") -> bool:
         return not (
@@ -128,17 +118,13 @@ def default_rois(positions, frame_width: int, frame_height: int,
         if x0 < 0 or y0 < 0 or x0 + size > frame_width or y0 + size > frame_height:
             raise ConfigError(f"ROI around positions[{i}] = ({x},{y}) leaves the {frame_width}x{frame_height} frame")
         rois.append(Roi(x0=x0, y0=y0, width=size, height=size))
-    _check_disjoint(rois)
-    return rois
-
-
-def _check_disjoint(rois) -> None:
     for (i, a), (j, b) in combinations(enumerate(rois), 2):
         if a.overlaps(b):
             raise ConfigError(f"ROIs for ions {i} and {j} overlap")
+    return rois
 
 
-MAX_PIXELS = 2**22  # a 2048 x 2048 frame; frames and the pixel index are allocated per pixel
+MAX_PIXELS = 2**22  # a 2048 x 2048 frame; the sampler's pixel index is allocated per pixel
 MAX_READOUTS = 2**20  # trials x ions of one register batch, held as columns and as CSV rows
 # Iteration and the readouts CSV turn this many trials, or CSV rows, into Python objects at a time.
 _ITER_TRIALS = 1024
@@ -158,28 +144,6 @@ def _frame_size(positions, side: int, frame_width, frame_height) -> tuple[int, i
         raise ConfigError(f"the {frame_width}x{frame_height} frame set by frame_width, frame_height or "
                           f"positions must hold 1 to {MAX_PIXELS} pixels")
     return frame_width, frame_height
-
-
-@dataclass
-class CcdFrame:
-    pixels: np.ndarray  # shape (height, width), integer counts
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        arr = np.asarray(self.pixels)
-        if arr.ndim != 2:
-            raise DomainError(f"frame must be a 2-d grid, got shape {arr.shape}")
-        if np.any(arr < 0):
-            raise DomainError("frame pixel values must be >= 0")
-        self.pixels = arr.astype(np.int64)
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
 
 
 @dataclass(slots=True, eq=False)
@@ -289,37 +253,6 @@ def _sampler(positions, per_ion_lambda0, leak, eta, ccd, crosstalk_eps, frame_sh
     return expose
 
 
-def synthesize_frame(
-    states,
-    positions: Sequence,
-    per_ion_lambda0: Sequence,
-    leak: LeakParams,
-    eta: float,
-    ccd: CcdParams,
-    crosstalk_eps: float,
-    seed: int,
-    *,
-    frame_width: int | None = None,
-    frame_height: int | None = None,
-) -> CcdFrame:
-    """One synthetic exposure of a linear register of ions.
-
-    states selects dark/bright per ion; per_ion_lambda0 gives each ion's
-    mean detected photon number (replacing leak.lambda0, whose alpha
-    fields apply to every ion); eps routes that fraction of each ion's
-    photons to each adjacent ion's position. The default frame makes room
-    for the sqrt(ccd.roi_super_pixels)-sided ROI box around every ion.
-    """
-    side = math.isqrt(ccd.roi_super_pixels)
-    frame_width, frame_height = _frame_size(positions, side, frame_width, frame_height)
-    bits = _parse_states(states, len(positions))
-    expose = _sampler(positions, per_ion_lambda0, leak, eta, ccd, crosstalk_eps,
-                      (frame_height, frame_width), np.arange(frame_height * frame_width))
-    pixels = expose(_keyed_rng(seed, _STREAM_SALT, 0), np.array([bits])).reshape(frame_height, frame_width)
-    meta = dict(ccd.to_meta(), seed=seed, crosstalk_eps=crosstalk_eps, states="".join(map(str, bits)))
-    return CcdFrame(pixels=pixels, meta=meta)
-
-
 def _thresholds(thresholds, n_rois: int) -> np.ndarray:
     """One threshold per ROI, as an array; a NaN one would read its ion as always dark."""
     if len(thresholds) != n_rois:
@@ -328,25 +261,6 @@ def _thresholds(thresholds, n_rois: int) -> np.ndarray:
     if np.isnan(thresholds).any():
         raise DomainError(f"thresholds must be numbers, not NaN: {thresholds.tolist()}")
     return thresholds
-
-
-def read_register(frame: CcdFrame, rois: Sequence[Roi], thresholds: Sequence[float], truth=None) -> RegisterBatch:
-    """Background-subtracted ROI sums of one frame thresholded into bits, as a one-trial batch.
-
-    The pedestal is taken from the frame metadata and one offset per
-    super-pixel is subtracted; a sum strictly above its threshold reads as
-    bright. truth, if given, is the frame's states as for synthesize_frame.
-    """
-    thresholds = _thresholds(thresholds, len(rois))
-    for i, roi in enumerate(rois):
-        if roi.x0 + roi.width > frame.width or roi.y0 + roi.height > frame.height:
-            raise DomainError(f"ROI {i} exceeds the {frame.width}x{frame.height} frame")
-    _check_disjoint(rois)
-    offset = float(frame.meta.get("offset", 0.0))
-    sums = np.array([[frame.pixels[r.y0 : r.y0 + r.height, r.x0 : r.x0 + r.width].sum()
-                      - r.pixel_count * offset for r in rois]], dtype=np.float64)
-    bits = (sums > thresholds).astype(int)
-    return RegisterBatch(sums, bits, None if truth is None else np.array([_parse_states(truth, len(rois))]))
 
 
 def simulate_register_batch(
@@ -408,10 +322,15 @@ def equal_error_threshold(dark_sums, bright_sums) -> float:
     Scans the midpoints between adjacent observed values and returns the
     one minimizing |dark error - bright error|, breaking ties toward the
     smaller combined error and then the lower threshold. Deterministic.
-    Both samples must be non-empty and finite.
+    Both samples must be non-empty, finite 1-d sequences of numbers.
     """
-    dark = np.sort(np.asarray(dark_sums, dtype=np.float64))
-    bright = np.sort(np.asarray(bright_sums, dtype=np.float64))
+    try:
+        samples = np.asarray(dark_sums), np.asarray(bright_sums)
+    except ValueError as exc:  # ragged nesting
+        raise DomainError(f"training samples must be 1-d sequences of numbers: {exc}") from None
+    if not all(s.ndim == 1 and s.dtype.kind in "iuf" for s in samples):
+        raise DomainError("training samples must be 1-d sequences of numbers")
+    dark, bright = (np.sort(s.astype(np.float64)) for s in samples)
     if len(dark) == 0 or len(bright) == 0:
         raise DomainError("both training samples must be non-empty")
     if not (np.isfinite(dark).all() and np.isfinite(bright).all()):
@@ -510,10 +429,9 @@ def crosstalk_ratio(wavelength: float, spacing: float) -> float:
     relative to the drive intensity: 3*wavelength^2/(4*pi*spacing^2).
     Both lengths in the same unit, finite and > 0, and the ratio must be
     a finite positive number."""
-    if not 0 < wavelength < math.inf:
-        raise DomainError(f"wavelength must be finite and > 0, got {wavelength}")
-    if not 0 < spacing < math.inf:
-        raise DomainError(f"spacing must be finite and > 0, got {spacing}")
+    for name, v in (("wavelength", wavelength), ("spacing", spacing)):
+        if isinstance(v, bool) or not (isinstance(v, (int, float)) and 0 < v < math.inf):
+            raise DomainError(f"{name} must be finite and > 0, got {v!r}")
     try:
         ratio = 3.0 * wavelength**2 / (4.0 * math.pi * spacing**2)
     except (OverflowError, ZeroDivisionError):  # a square left the float range

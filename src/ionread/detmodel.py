@@ -164,7 +164,7 @@ def get_species(name: str) -> IonSpecies:
     """Look up a species by name in the built-in registry."""
     try:
         return BUILTIN_SPECIES[name]
-    except KeyError:
+    except (KeyError, TypeError):  # a TypeError for an unhashable name
         known = sorted(BUILTIN_SPECIES)
         raise DomainError(f"unknown species {name!r}; known: {', '.join(known)}") from None
 
@@ -420,8 +420,8 @@ MAX_BINS = 2**20
 
 def histogram_cutoff(lambda0: float) -> int:
     """Bin count that bounds the neglected upper tail below ~1e-12."""
-    if not (math.isfinite(lambda0) and lambda0 >= 0):
-        raise DomainError(f"lambda0 must be finite and >= 0, got {lambda0}")
+    if not (isinstance(lambda0, (int, float)) and math.isfinite(lambda0) and lambda0 >= 0):
+        raise DomainError(f"lambda0 must be finite and >= 0, got {lambda0!r}")
     return int(_cutoffs(lambda0))
 
 

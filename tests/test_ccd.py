@@ -18,10 +18,8 @@ from ionread.ccd import (
     default_rois,
     equal_error_threshold,
     format_readouts_csv,
-    read_register,
     simulate_register_batch,
     snr,
-    synthesize_frame,
 )
 from ionread.detmodel import LeakParams, pmf_arrays
 from ionread.errors import ConfigError, DomainError
@@ -85,10 +83,6 @@ class TestSnr:
         with pytest.raises(DomainError, match="NaN"):
             simulate_register_batch(100, POS3, [12.0] * 3, LEAK, 1.0, CcdParams(), 0.0,
                                     [math.nan, 100.0, 100.0], 1)
-        frame = synthesize_frame(states="111", positions=POS3, per_ion_lambda0=[12.0] * 3,
-                                 leak=LEAK, eta=1.0, ccd=CcdParams(), crosstalk_eps=0.0, seed=3)
-        with pytest.raises(DomainError, match="NaN"):
-            read_register(frame, default_rois(POS3, frame.width, frame.height), [0.0, math.nan, 0.0])
 
 
 class TestCrosstalkRatio:
@@ -124,7 +118,7 @@ class TestCrosstalkRatio:
 class TestRoiGeometry:
     def test_default_rois_fit(self):
         rois = default_rois(POS3, 21, 7, size=7)
-        assert all(r.pixel_count == 49 for r in rois)
+        assert all(r.width * r.height == 49 for r in rois)
         assert rois[0].x0 == 0 and rois[0].y0 == 0
 
     def test_overlap_rejected(self):
@@ -145,10 +139,7 @@ class TestRoiGeometry:
             5, [(2, 2), (7, 2)], [12.0] * 2, LEAK, 1.0, ccd, 0.0, [0.0] * 2, 3,
             states="00")
         assert len(readouts) == 5
-        frame = synthesize_frame(
-            states="000", positions=POS3, per_ion_lambda0=[12.0] * 3, leak=LEAK,
-            eta=1.0, ccd=ccd, crosstalk_eps=0.0, seed=1)
-        assert (frame.width, frame.height) == (20, 6)
+        assert whole_frame("000", POS3, [12.0] * 3, LEAK, ccd, 0.0, 1).shape == (6, 20)
 
     @pytest.mark.parametrize("k", [24, 50, 98])
     def test_register_rejects_non_square_roi(self, k):
@@ -174,46 +165,26 @@ class TestRoiGeometry:
             Roi(x0=0, y0=0, width=0, height=7)
 
 
-# (states, positions, per-ion light, leak, imager, eps, seed, frame width, frame height)
-FRAMES = {
-    "fixed-seed": ("101", POS3, [12.0] * 3, LEAK, CcdParams(), 0.01, 31, None, None),
-    "dark-r0": ("000", POS3, [12.0] * 3, LeakParams(12.0, 0.0, 0.0), CcdParams(readout_rms_r=0.0), 0.0, 1,
-                None, None),
-    "roi-25": ("000", POS3, [12.0] * 3, LEAK, CcdParams(roi_super_pixels=25, readout_rms_r=0.0), 0.0, 1,
-               None, None),
-    **{f"conservation-{seed}": ("1", [(10, 3)], [20.0], LeakParams(20.0, 0.0, 0.0),
-                                CcdParams(readout_rms_r=0.0, psf_sigma=0.6), 0.0, seed, 21, 7)
-       for seed in (9000, 9001, 9999)},
-    "fixed-gain": ("10", [(3, 3), (10, 3)], [12.0, 20.0], LEAK, CcdParams(gain_dist="fixed", psf_sigma=0.7),
-                   0.05, 5, None, None),
-}
-
-
-@pytest.mark.parametrize("name", FRAMES)
-def test_whole_frame_matches_synthesize_frame(name):
-    states, positions, lam, leak, params, eps, seed, width, height = FRAMES[name]
-    frame = synthesize_frame(states, positions, lam, leak, 1.0, params, eps, seed,
-                             frame_width=width, frame_height=height)
-    pixels = whole_frame(states, positions, lam, leak, params, eps, seed, width, height)
-    assert pixels.dtype == frame.pixels.dtype and np.array_equal(pixels, frame.pixels)
-
-
 class TestFrameSynthesis:
     def test_fixed_seed_bit_identical(self):
-        kwargs = dict(states="101", positions=POS3, per_ion_lambda0=[12.0] * 3,
-                      leak=LEAK, eta=1.0, ccd=CcdParams(), crosstalk_eps=0.01,
-                      seed=31)
-        a = synthesize_frame(**kwargs)
-        b = synthesize_frame(**kwargs)
-        assert np.array_equal(a.pixels, b.pixels)
+        args = ("101", POS3, [12.0] * 3, LEAK, CcdParams(), 0.01, 31)
+        assert np.array_equal(whole_frame(*args), whole_frame(*args))
+
+    @pytest.mark.parametrize("args, digest", [
+        # the pixels of whole frames are frozen per stream version, like the seeded readouts below
+        (("101", POS3, [12.0] * 3, LEAK, CcdParams(), 0.01, 31),
+         "14e8a1f3e761501141864cc163b4dc956eaf0e60a1ea6e91f545b7e6e92e5044"),
+        (("10", [(3, 3), (10, 3)], [12.0, 20.0], LEAK, CcdParams(gain_dist="fixed", psf_sigma=0.7), 0.05, 5),
+         "8c65c142be4a17fb11e2bb02f546b7c37d0e32bfed64284eed0884dfec4c7763"),
+    ], ids=["exponential-gain", "fixed-gain-crosstalk"])
+    def test_whole_frames_frozen(self, args, digest):
+        pixels = whole_frame(*args)
+        assert hashlib.sha256(pixels.astype("<i8").tobytes()).hexdigest() == digest
 
     def test_dark_register_r0_is_offset(self):
         ccd = CcdParams(readout_rms_r=0.0)
-        frame = synthesize_frame(
-            states="000", positions=POS3, per_ion_lambda0=[12.0] * 3,
-            leak=LeakParams(12.0, 0.0, 0.0), eta=1.0, ccd=ccd,
-            crosstalk_eps=0.0, seed=1)
-        assert np.all(frame.pixels == int(round(ccd.offset)))
+        pixels = whole_frame("000", POS3, [12.0] * 3, LeakParams(12.0, 0.0, 0.0), ccd, 0.0, 1)
+        assert np.all(pixels == int(round(ccd.offset)))
 
     def test_roi_sum_expectation(self):
         # expected background-subtracted ROI sum is lambda0*counts_per_photon
@@ -294,24 +265,17 @@ class TestFrameSynthesis:
         lam = 20.0
         trials = 2000
         total = 0.0
-        npix = None
         for t in range(trials):
-            frame = synthesize_frame(
-                states="1", positions=[(10, 3)], per_ion_lambda0=[lam],
-                leak=LeakParams(lam, 0.0, 0.0), eta=1.0, ccd=ccd,
-                crosstalk_eps=0.0, seed=9000 + t, frame_width=21,
-                frame_height=7)
-            npix = frame.pixels.size
-            total += float(frame.pixels.sum()) - npix * ccd.offset
+            pixels = whole_frame("1", [(10, 3)], [lam], LeakParams(lam, 0.0, 0.0), ccd, 0.0, 9000 + t, 21, 7)
+            total += float(pixels.sum()) - pixels.size * ccd.offset
         per_frame = total / trials
         expect = lam * ccd.counts_per_photon
         assert abs(per_frame - expect) / expect < 0.05
 
     def test_bad_states_string(self):
-        with pytest.raises((DomainError, ConfigError)):
-            synthesize_frame(states="10", positions=POS3,
-                             per_ion_lambda0=[12.0] * 3, leak=LEAK, eta=1.0,
-                             ccd=CcdParams(), crosstalk_eps=0.0, seed=1)
+        with pytest.raises(DomainError, match="2 states for 3 ion positions"):
+            simulate_register_batch(5, POS3, [12.0] * 3, LEAK, 1.0, CcdParams(), 0.0, [0.0] * 3, 1,
+                                    states="10")
 
 
 class TestRegisterStream:
@@ -330,25 +294,16 @@ class TestRegisterStream:
 
 class TestReadRegister:
     def test_offset_only_zero_sums(self):
-        ccd = CcdParams(readout_rms_r=0.0)
-        frame = synthesize_frame(
-            states="000", positions=POS3, per_ion_lambda0=[12.0] * 3,
-            leak=LeakParams(12.0, 0.0, 0.0), eta=1.0, ccd=ccd,
-            crosstalk_eps=0.0, seed=2)
-        rois = default_rois(POS3, frame.width, frame.height)
-        out = read_register(frame, rois, [0.0, 0.0, 0.0])
-        assert out.roi_sums.tolist() == [[0.0, 0.0, 0.0]]
-        assert out.bits.tolist() == [[0, 0, 0]]
-        assert out.truth is None
+        out = simulate_register_batch(100, POS3, [12.0] * 3, LeakParams(12.0, 0.0, 0.0), 1.0,
+                                      CcdParams(readout_rms_r=0.0), 0.0, [0.0] * 3, 2, states="000")
+        assert out.roi_sums.tolist() == [[0.0, 0.0, 0.0]] * 100
+        assert out.bits.tolist() == out.truth.tolist() == [[0, 0, 0]] * 100
 
     def test_infinite_threshold_all_dark(self):
-        frame = synthesize_frame(
-            states="111", positions=POS3, per_ion_lambda0=[12.0] * 3,
-            leak=LEAK, eta=1.0, ccd=CcdParams(), crosstalk_eps=0.0, seed=3)
-        rois = default_rois(POS3, frame.width, frame.height)
-        out = read_register(frame, rois, [math.inf] * 3, truth="111")
-        assert out.bits.tolist() == [[0, 0, 0]]
-        assert out.truth.tolist() == [[1, 1, 1]]
+        out = simulate_register_batch(100, POS3, [12.0] * 3, LEAK, 1.0, CcdParams(), 0.0,
+                                      [math.inf] * 3, 3, states="111")
+        assert out.bits.tolist() == [[0, 0, 0]] * 100
+        assert out.truth.tolist() == [[1, 1, 1]] * 100
 
     def test_all_bright_error_rate(self):
         # exponential gain spread makes the bright tail wide, so the
@@ -360,14 +315,6 @@ class TestReadRegister:
         for ion in range(3):
             errors = sum(1 for r in readouts if r.bits[ion] == 0)
             assert errors / 4000 < 0.01
-
-    def test_roi_out_of_bounds(self):
-        frame = synthesize_frame(
-            states="1", positions=[(10, 3)], per_ion_lambda0=[12.0],
-            leak=LEAK, eta=1.0, ccd=CcdParams(), crosstalk_eps=0.0, seed=4,
-            frame_width=21, frame_height=7)
-        with pytest.raises((DomainError, ConfigError)):
-            read_register(frame, [Roi(x0=18, y0=0, width=7, height=7)], [0.0])
 
 
 class TestRegisterBatch:

@@ -1,8 +1,9 @@
 """The package's public surface: its export list, who uses it, and the
-error an unknown enum string raises."""
+error an unknown enum string or a malformed input raises."""
 
 import ast
 import inspect
+import math
 import pkgutil
 import re
 from importlib import import_module
@@ -23,7 +24,8 @@ def test_all_names_resolve_once():
 
 def used_names() -> set:
     """Every identifier read in the package, the scripts, the benchmark and
-    the acceptance tests, plus every name in a README code span or block."""
+    the acceptance tests, plus every name in a fenced README code block.
+    Prose code spans do not count: naming a function is not using it."""
     paths = [*ROOT.glob("src/ionread/*.py"), *ROOT.glob("scripts/*.py"),
              *ROOT.glob("perfbench/*.py"), ROOT / "tests" / "test_acceptance.py"]
     names = set()
@@ -33,8 +35,8 @@ def used_names() -> set:
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
-    for span in re.findall(r"`+([^`]+)`+", (ROOT / "README.md").read_text(encoding="utf-8")):
-        names.update(re.findall(r"\w+", span))
+    for block in re.findall(r"^```\w*\n(.*?)^```", (ROOT / "README.md").read_text(encoding="utf-8"), re.M | re.S):
+        names.update(re.findall(r"\w+", block))
     return names
 
 
@@ -63,4 +65,22 @@ HIST = ionread.PhotonHistogram(values=(1.0,))
 ])
 def test_unknown_enum_string_is_a_domain_error(call):
     with pytest.raises(ionread.DomainError, match="must be one of '.*, got 'bogus'"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: ionread.snr(math.inf, ionread.CcdParams()), id="snr-inf"),
+    pytest.param(lambda: ionread.snr(True, ionread.CcdParams()), id="snr-bool"),
+    pytest.param(lambda: ionread.CcdParams(roi_super_pixels=True), id="CcdParams-bool-k"),
+    pytest.param(lambda: ionread.CcdParams(gain_g="1"), id="CcdParams-string-gain"),
+    pytest.param(lambda: ionread.Roi(0, 0, "a", 1), id="Roi-string-width"),
+    pytest.param(lambda: ionread.crosstalk_ratio("a", 1), id="crosstalk_ratio-string"),
+    pytest.param(lambda: ionread.equal_error_threshold([[1.0, 2.0]], [3.0]), id="equal_error_threshold-2d"),
+    pytest.param(lambda: ionread.equal_error_threshold(["a"], [3.0]), id="equal_error_threshold-string"),
+    pytest.param(lambda: ionread.equal_error_threshold([[1.0], [2.0, 3.0]], [3.0]), id="equal_error_threshold-ragged"),
+    pytest.param(lambda: ionread.get_species([]), id="get_species-list"),
+    pytest.param(lambda: ionread.histogram_cutoff("a"), id="histogram_cutoff-string"),
+])
+def test_malformed_input_is_a_domain_error(call):
+    with pytest.raises(ionread.DomainError):
         call()

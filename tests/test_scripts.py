@@ -1,14 +1,15 @@
 """Smoke tests of the scripts under scripts/, run as they are documented."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import ionread
-from ionread.cli import run_command
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
 def run_script(name, *args):
@@ -29,16 +30,8 @@ def test_calibrate_crosstalk_small_sweep():
     assert lines[-1].startswith("# closest to target 0.012: eps=")
 
 
-def test_detection_report_writes_three_artifacts(tmp_path, capsys):
-    proc = run_script("detection_report.py", "--out-dir", str(tmp_path / "report"))
-    assert proc.returncode == 0, proc.stderr
-    assert "Traceback" not in proc.stderr
-    report = tmp_path / "report"
-    assert sorted(p.name for p in report.iterdir()) == ["curve.csv", "params.txt", "table.csv"]
-    assert run_command(["table1"]) == 0
-    table1 = capsys.readouterr().out.splitlines()
-    rows = (report / "table.csv").read_text().splitlines()
-    # same header, same nine rows; the script orders species by name
-    assert rows[0] == table1[0]
-    assert len(rows) == 10
-    assert set(rows[1:]) == set(table1[1:])
+def test_every_script_is_documented_and_smoke_tested():
+    scripts = {path.name for path in SCRIPTS.glob("*.py")}
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("\n## Scripts\n")[1].split("\n## ")[0]
+    assert set(re.findall(r"`scripts/(\w+\.py)`", section)) == scripts
+    assert set(re.findall(r'run_script\("(\w+\.py)"', Path(__file__).read_text(encoding="utf-8"))) == scripts
