@@ -92,7 +92,7 @@ class Roi:
 
     def __post_init__(self):
         box = (self.x0, self.y0, self.width, self.height)
-        if (not all(isinstance(v, int) and not isinstance(v, bool) for v in box)
+        if (not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in box)
                 or self.width < 1 or self.height < 1 or self.x0 < 0 or self.y0 < 0):
             raise DomainError(f"ROI must have integer fields, positive size and non-negative origin: {self}")
 
