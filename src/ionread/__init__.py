@@ -1,94 +1,46 @@
-"""Models of state-dependent fluorescence readout of hyperfine ion qubits."""
+"""Models of state-dependent fluorescence readout of hyperfine ion qubits.
 
-from .angular import BranchingRatios, Scheme, branching_ratios
-from .ccd import (
-    CcdParams,
-    CorrelationReport,
-    RegisterBatch,
-    Roi,
-    conditional_correlations,
-    crosstalk_ratio,
-    default_rois,
-    equal_error_threshold,
-    simulate_register_batch,
-    snr,
-)
-from .detmodel import (
-    BUILTIN_SPECIES,
-    DetectionConfig,
-    IonSpecies,
-    LeakParams,
-    PhotonHistogram,
-    detection_params,
-    get_species,
-    histogram_cutoff,
-    p_bright,
-    p_dark,
-    pmf_arrays,
-)
-from .errors import ConfigError, DomainError, IonReadError
-from .fidelity import (
-    ApproxFidelity,
-    DiscriminationResult,
-    approx_fidelity,
-    best_threshold,
-    fidelity_curve,
-    max_clock_fidelity,
-    optimize_detection,
-)
-from .fitkit import FitResult, fit_histograms, model_distributions
-from .mcsim import (
-    InitialState,
-    McConfig,
-    McMode,
-    read_histogram_csv,
-    simulate_histogram,
-)
+Every public name is imported from its home module on first access
+(PEP 562), so ``import ionread`` loads no numpy and a process loads only
+the modules it uses. ``from ionread import X`` and ``ionread.X`` work as
+for any attribute.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ApproxFidelity",
-    "BUILTIN_SPECIES",
-    "BranchingRatios",
-    "CcdParams",
-    "ConfigError",
-    "CorrelationReport",
-    "DetectionConfig",
-    "DiscriminationResult",
-    "DomainError",
-    "FitResult",
-    "InitialState",
-    "IonReadError",
-    "IonSpecies",
-    "LeakParams",
-    "McConfig",
-    "McMode",
-    "PhotonHistogram",
-    "RegisterBatch",
-    "Roi",
-    "Scheme",
-    "approx_fidelity",
-    "best_threshold",
-    "branching_ratios",
-    "conditional_correlations",
-    "crosstalk_ratio",
-    "default_rois",
-    "detection_params",
-    "equal_error_threshold",
-    "fidelity_curve",
-    "fit_histograms",
-    "get_species",
-    "histogram_cutoff",
-    "max_clock_fidelity",
-    "model_distributions",
-    "optimize_detection",
-    "p_bright",
-    "p_dark",
-    "pmf_arrays",
-    "read_histogram_csv",
-    "simulate_histogram",
-    "simulate_register_batch",
-    "snr",
-    "__version__",
-]
+# home module: the public names it defines
+_EXPORTS = {
+    "angular": ("BranchingRatios", "Scheme", "branching_ratios"),
+    "ccd": ("CorrelationReport", "RegisterBatch", "Roi", "conditional_correlations", "default_rois",
+            "equal_error_threshold", "simulate_register_batch"),
+    "detmodel": ("BUILTIN_SPECIES", "DetectionConfig", "IonSpecies", "LeakParams", "PhotonHistogram",
+                 "detection_params", "get_species", "histogram_cutoff", "p_bright", "p_dark", "pmf_arrays"),
+    "errors": ("ConfigError", "DomainError", "IonReadError"),
+    "fidelity": ("ApproxFidelity", "DiscriminationResult", "approx_fidelity", "best_threshold",
+                 "fidelity_curve", "max_clock_fidelity", "optimize_detection"),
+    "fitkit": ("FitResult", "fit_histograms", "model_distributions"),
+    "mcsim": ("McConfig", "read_histogram_csv", "simulate_histogram"),
+    "settings": ("CcdParams", "InitialState", "McMode", "crosstalk_ratio", "snr"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+# submodules reachable as attributes, as when this module imported them all eagerly
+_SUBMODULES = frozenset(_EXPORTS) | {"specfun"}
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name):
+    if name in _HOME:
+        value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    elif name in _SUBMODULES:
+        value = import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

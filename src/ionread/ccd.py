@@ -13,7 +13,9 @@ rounds to integer counts.
 The SNR of a k-super-pixel region follows lambda0/sqrt(lambda0+(k*r/g)^2):
 shot noise plus the k readouts' noise referred back through the gain g.
 g enters only this noise bookkeeping; the deposit scale is set by
-counts_per_photon (the two are not assumed to decompose).
+counts_per_photon (the two are not assumed to decompose). ``CcdParams``,
+this law (``snr``) and ``crosstalk_ratio`` are defined in the numpy-free
+``settings`` module and imported here.
 
 Crosstalk between neighboring ions is modeled by routing a fraction eps
 of each ion's detected photons onto each adjacent ion's image position
@@ -35,50 +37,13 @@ import numpy as np
 from .detmodel import LeakParams, pmf_arrays
 from .errors import ConfigError, DomainError
 from .mcsim import _keyed_rng
+from .settings import CcdParams, crosstalk_ratio, snr  # noqa: F401 (the last two re-exported)
 
 # Trials per keyed block of the register stream. BLOCK, the salt and the
 # draw order (random states, then _sampler's draws) are the stream version:
 # change the salt whenever the other two change, so no key spans two layouts.
 BLOCK = 64
 _STREAM_SALT = 0x5EED_0002
-
-
-@dataclass(frozen=True)
-class CcdParams:
-    """Imager settings; roi_super_pixels is the k of the SNR law and of each simulated ROI box."""
-
-    gain_g: float = 100.0
-    readout_rms_r: float = 2.0
-    roi_super_pixels: int = 49
-    offset: float = 20.0
-    counts_per_photon: float = 100.0
-    psf_sigma: float = 1.0
-    gain_dist: str = "exponential"
-
-    def __post_init__(self):
-        for name, bound in (("gain_g", "> 0"), ("readout_rms_r", ">= 0"), ("offset", ">= 0"),
-                            ("counts_per_photon", "> 0"), ("psf_sigma", "> 0")):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not (isinstance(v, (int, float)) and 0 <= v < math.inf
-                                           and (v > 0 or bound == ">= 0")):
-                raise DomainError(f"{name} must be finite and {bound}, got {v!r}")
-        k = self.roi_super_pixels
-        if isinstance(k, bool) or not (isinstance(k, int) and k >= 1):
-            raise DomainError(f"roi_super_pixels must be a positive integer, got {k!r}")
-        if self.gain_dist not in ("exponential", "fixed"):
-            raise DomainError(
-                f"gain_dist must be 'exponential' or 'fixed', got {self.gain_dist!r}"
-            )
-
-
-def snr(lambda0: float, params: CcdParams) -> float:
-    """Signal-to-noise of a mean-lambda0 signal read through k super-pixels."""
-    if isinstance(lambda0, bool) or not (isinstance(lambda0, (int, float)) and 0 <= lambda0 < math.inf):
-        raise DomainError(f"lambda0 must be finite and >= 0, got {lambda0!r}")
-    if lambda0 == 0:
-        return 0.0
-    noise_sq = lambda0 + (params.roi_super_pixels * params.readout_rms_r / params.gain_g) ** 2
-    return lambda0 / math.sqrt(noise_sq)
 
 
 @dataclass(frozen=True)
@@ -424,24 +389,6 @@ def conditional_correlations(batch: RegisterBatch) -> CorrelationReport:
     )
 
 
-def crosstalk_ratio(wavelength: float, spacing: float) -> float:
-    """Fluorescence intensity of one ion at its neighbor's position,
-    relative to the drive intensity: 3*wavelength^2/(4*pi*spacing^2).
-    Both lengths in the same unit, finite and > 0, and the ratio must be
-    a finite positive number."""
-    for name, v in (("wavelength", wavelength), ("spacing", spacing)):
-        if isinstance(v, bool) or not (isinstance(v, (int, float)) and 0 < v < math.inf):
-            raise DomainError(f"{name} must be finite and > 0, got {v!r}")
-    try:
-        ratio = 3.0 * wavelength**2 / (4.0 * math.pi * spacing**2)
-    except (OverflowError, ZeroDivisionError):  # a square left the float range
-        ratio = math.nan
-    if not 0 < ratio < math.inf:
-        raise DomainError(f"the crosstalk ratio of wavelength {wavelength} and spacing {spacing} "
-                          f"is not a finite positive number")
-    return ratio
-
-
 def _prints_as_int(sums) -> bool:
     """Whether every sum prints the same under %d as under %.9g."""
     if not np.all(np.abs(sums) < 1e9):
@@ -451,16 +398,20 @@ def _prints_as_int(sums) -> bool:
     return np.array_equal(whole, sums) and not np.signbit(sums[whole == 0]).any()
 
 
-def format_readouts_csv(batch: RegisterBatch) -> str:
-    """trial,ion,roi_sum,bit rows, trial-major, formatted _CSV_ROWS rows at a time."""
+def _readout_chunks(batch: RegisterBatch):
+    """The readouts CSV as its header, then chunks of _CSV_ROWS rows."""
     n_ions = batch.roi_sums.shape[1]
     sums, bits = batch.roi_sums.ravel(), batch.bits.ravel()
     dtype, row = (np.int64, "%d,%d,%d,%d\n") if _prints_as_int(sums) else (np.float64, "%d,%d,%.9g,%d\n")
-    chunks = ["trial,ion,roi_sum,bit\n"]
+    yield "trial,ion,roi_sum,bit\n"
     for start in range(0, len(sums), _CSV_ROWS):
         stop = min(start + _CSV_ROWS, len(sums))
         table = np.empty((stop - start, 4), dtype)
         table[:, 0], table[:, 1] = np.divmod(np.arange(start, stop), n_ions)
         table[:, 2], table[:, 3] = sums[start:stop], bits[start:stop]
-        chunks.append(row * (stop - start) % tuple(table.ravel().tolist()))
-    return "".join(chunks)
+        yield row * (stop - start) % tuple(table.ravel().tolist())
+
+
+def format_readouts_csv(batch: RegisterBatch) -> str:
+    """trial,ion,roi_sum,bit rows, trial-major, formatted _CSV_ROWS rows at a time."""
+    return "".join(_readout_chunks(batch))

@@ -9,6 +9,9 @@ listing come from the same table. Keys carry units in their names
 (tau_d_us, delta_mhz, wavelength_nm) and are converted to SI by that
 suffix; every unknown key is rejected by name. Exit codes: 0 success, 2
 validation error, 1 runtime error. Output files are written atomically.
+
+A subcommand's handler imports the modules that run it, so ``params``,
+``crosstalk``, every ``--help`` and every config error load no numpy.
 """
 
 from __future__ import annotations
@@ -22,13 +25,6 @@ import tempfile
 from typing import Callable, NamedTuple
 
 from .angular import Scheme
-from .ccd import (
-    CcdParams,
-    conditional_correlations,
-    crosstalk_ratio,
-    format_readouts_csv,
-    simulate_register_batch,
-)
 from .detmodel import (
     MAX_BINS,
     DetectionConfig,
@@ -41,26 +37,18 @@ from .detmodel import (
     species_from_dict,
 )
 from .errors import ConfigError, DomainError, IonReadError
-from .fidelity import fidelity_curve, format_curve_csv, optimize_detection
-from .fitkit import fit_histograms, format_fit_result, format_model_csv
-from .mcsim import (
-    InitialState,
-    McConfig,
-    McMode,
-    format_histogram_csv,
-    read_histogram_csv,
-    simulate_histogram,
-)
+from .settings import CcdParams, InitialState, McMode, crosstalk_ratio
 
 _F = "%.9g"
 
 
-def _atomic_write(path, text: str) -> None:
+def _atomic_write(path, text) -> None:
+    """Write text, a str or an iterable of str chunks, to path; the file appears only if every chunk arrives."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ionread-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -245,12 +233,16 @@ def _format_discrimination(res) -> str:
 
 
 def _cmd_optimize(args, cfg) -> int:
+    from .fidelity import optimize_detection
+
     res = optimize_detection(cfg["species"], cfg["scheme"], cfg["eta"])
     _emit(_format_discrimination(res), args.out)
     return 0
 
 
 def _cmd_curve(args, cfg) -> int:
+    from .fidelity import fidelity_curve, format_curve_csv
+
     rows = fidelity_curve(cfg["species"], cfg["scheme"], cfg["eta_grid"])
     _emit(format_curve_csv(rows), args.out)
     return 0
@@ -262,6 +254,8 @@ _TABLE1_CASES = [("cd111", 0.001), ("cd111", 0.01), ("cd111", 0.3),
 
 
 def _cmd_table1(args, cfg) -> int:
+    from .fidelity import optimize_detection
+
     lines = ["species,eta,fidelity_percent,lambda0_opt,d_opt"]
     for name, eta in _TABLE1_CASES:
         res = optimize_detection(get_species(name), Scheme.P12, eta)
@@ -274,6 +268,8 @@ def _cmd_table1(args, cfg) -> int:
 
 
 def _cmd_mc(args, cfg) -> int:
+    from .mcsim import McConfig, format_histogram_csv, simulate_histogram
+
     config = McConfig(cfg["trials"], cfg["seed"], cfg["mode"], cfg["initial"])
     hist = simulate_histogram(_leak(cfg), cfg["eta"], config)
     _emit(format_histogram_csv(hist), args.out)
@@ -281,6 +277,9 @@ def _cmd_mc(args, cfg) -> int:
 
 
 def _cmd_fit(args, cfg) -> int:
+    from .fitkit import fit_histograms, format_fit_result, format_model_csv
+    from .mcsim import read_histogram_csv
+
     species, scheme, tau_d = cfg["species"], cfg["scheme"], cfg["tau_d_us"]
     dark = read_histogram_csv(cfg["dark_csv"])
     bright = read_histogram_csv(cfg["bright_csv"]) if cfg.get("bright_csv") else None
@@ -293,6 +292,8 @@ def _cmd_fit(args, cfg) -> int:
 
 
 def _cmd_ccd_sim(args, cfg) -> int:
+    from .ccd import _readout_chunks, conditional_correlations, simulate_register_batch
+
     readouts_out = cfg.get("readouts_out") or args.out
     if not readouts_out:
         raise ConfigError("declare 'readouts_out' (or --out) for the per-trial readouts")
@@ -306,7 +307,7 @@ def _cmd_ccd_sim(args, cfg) -> int:
     )
     # built before the first write, so a register it rejects leaves no file
     report = conditional_correlations(batch)
-    _atomic_write(readouts_out, format_readouts_csv(batch))
+    _atomic_write(readouts_out, _readout_chunks(batch))
     _emit(report.format_csv(), cfg.get("report_out"))
     return 0
 

@@ -27,6 +27,10 @@ where P is the regularized lower incomplete gamma function. The dark form
 requires a1 < 1; a1 >= 1 would mean the ion is more likely to leak than to
 yield a detected photon, outside the validity of the derivation.
 
+Everything but the kernel (``count_pmfs``, ``pmf_arrays`` and the two
+scalar pmfs) uses ``math`` alone; the kernel imports numpy and
+``specfun`` when first called, so the scalar physics loads without them.
+
 Unit conventions: frequencies are stored as angular frequencies in rad/s;
 every file or constructor input quoted in MHz/GHz is converted by 2*pi
 exactly once at parse time. Detection time in seconds, wavelengths in nm.
@@ -38,11 +42,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
-import numpy as np
-
 from .angular import Scheme, _twice_spin, branching_ratios
-from .errors import ConfigError, DomainError, _enum
-from .specfun import _count, _cutoffs, log_poisson, log_upper_tails, poisson_table, tail_window
+from .errors import ConfigError, DomainError, _count, _enum
 
 TWO_PI = 2.0 * math.pi
 
@@ -223,6 +224,10 @@ class DetectionConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "scheme", _enum(Scheme, self.scheme, "scheme"))
+        for fname in ("s", "delta", "tau_d", "eta", "p_pi", "p_minus"):
+            v = getattr(self, fname)
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise DomainError(f"{fname} must be a number, got {v!r}")
         if not self.s >= 0:
             raise DomainError(f"saturation parameter must be >= 0, got {self.s}")
         if not math.isfinite(self.delta):
@@ -271,15 +276,19 @@ class PhotonHistogram:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
+        vals = tuple(self.values)
         if len(vals) == 0:
             raise DomainError("histogram must have at least one bin")
-        if any(not math.isfinite(v) or v < 0 for v in vals):
-            raise DomainError("histogram bins must be finite and >= 0")
-        self.values = vals
+        if any(isinstance(v, bool) or not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0)
+               for v in vals):
+            raise DomainError("histogram bins must be finite numbers >= 0")
+        self.values = vals = tuple(map(float, vals))
         total = math.fsum(vals)
-        if self.trials is not None and abs(total - self.trials) > 0.5:
-            raise DomainError(f"histogram bins sum to {total} but trials={self.trials}")
+        if self.trials is not None:
+            if isinstance(self.trials, bool) or not isinstance(self.trials, int):
+                raise DomainError(f"histogram trials must be an integer, got {self.trials!r}")
+            if abs(total - self.trials) > 0.5:
+                raise DomainError(f"histogram bins sum to {total} but trials={self.trials}")
 
     @property
     def total(self) -> float:
@@ -320,6 +329,9 @@ def detection_params(species: IonSpecies, config: DetectionConfig) -> LeakParams
     for the p12 scheme all polarizations are applied deliberately and the
     2/9 branching ratio applies directly.
     """
+    if not (isinstance(species, IonSpecies) and isinstance(config, DetectionConfig)):
+        raise DomainError(f"detection_params needs an IonSpecies and a DetectionConfig, "
+                          f"got {type(species).__name__} and {type(config).__name__}")
     scheme = config.scheme
     gamma, detuning_1, detuning_2 = _scheme_constants(species, scheme)
     ratios = branching_ratios(species.nuclear_spin, scheme)
@@ -336,7 +348,7 @@ def detection_params(species: IonSpecies, config: DetectionConfig) -> LeakParams
 
 
 def _leak_fractions(params: LeakParams, eta: float) -> tuple[float, float]:
-    if not 0 < eta <= 1:
+    if not (isinstance(eta, (int, float)) and 0 < eta <= 1):
         raise DomainError(f"collection efficiency must be in (0, 1], got {eta}")
     a1 = params.alpha1 / eta
     a2 = params.alpha2 / eta
@@ -364,6 +376,10 @@ def count_pmfs(n, lambda0, a1: float, a2: float):
     (1-c)*lambda0 by k*log(1-c) + c*lambda0, through
     ``specfun.log_upper_tails``.
     """
+    import numpy as np
+
+    from .specfun import log_poisson, log_upper_tails, poisson_table, tail_window
+
     n = np.asarray(n, dtype=np.float64)
     lam0 = np.asarray(lambda0, dtype=np.float64)
     if a1 == 0.0 and a2 == 0.0:
@@ -418,6 +434,19 @@ def p_bright(n, params: LeakParams, eta: float) -> float:
 MAX_BINS = 2**20
 
 
+def _cutoffs(mean):
+    """ceil(mean + 12 sqrt(mean) + 30), on a number or elementwise on an array of
+    means: the top count of a table at each mean, above which the upper tail is below ~1e-12."""
+    # math takes a fifth of numpy's time on one float, rounds the same, and needs no numpy
+    if isinstance(mean, (int, float)):
+        sqrt, ceil = math.sqrt, math.ceil
+    else:
+        import numpy as np
+
+        sqrt, ceil = np.sqrt, np.ceil
+    return ceil(mean + 12.0 * sqrt(mean) + 30.0)
+
+
 def histogram_cutoff(lambda0: float) -> int:
     """Bin count that bounds the neglected upper tail below ~1e-12."""
     if not (isinstance(lambda0, (int, float)) and math.isfinite(lambda0) and lambda0 >= 0):
@@ -433,4 +462,6 @@ def pmf_arrays(params: LeakParams, eta: float, n_max: int | None = None):
     if _count(n_max, "n_max") > MAX_BINS:
         raise DomainError(f"a pmf table at lambda0 = {params.lambda0:.9g} needs counts up to {n_max}, "
                           f"above the cap of {MAX_BINS}")
+    import numpy as np
+
     return count_pmfs(np.arange(n_max + 1), params.lambda0, a1, a2)

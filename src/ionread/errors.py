@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the numpy-free input checks that raise them."""
 
 
 class IonReadError(Exception):
@@ -24,3 +24,11 @@ def _enum(kind, value, what: str):
     except ValueError:
         accepted = ", ".join(repr(member.value) for member in kind)
         raise DomainError(f"{what} must be one of {accepted}, got {value!r}") from None
+
+
+def _count(n, what: str = "count") -> int:
+    if isinstance(n, float) and n.is_integer():
+        n = int(n)
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise DomainError(f"{what} must be a non-negative integer, got {n!r}")
+    return n

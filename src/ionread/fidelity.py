@@ -27,12 +27,12 @@ from .detmodel import (
     DetectionConfig,
     IonSpecies,
     LeakParams,
+    _cutoffs,
     count_pmfs,
     detection_params,
     pmf_arrays,
 )
 from .errors import DomainError
-from .specfun import _cutoffs
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -180,7 +180,7 @@ def approx_fidelity(eta: float, alpha1: float) -> ApproxFidelity:
     """F ~ 1 - (alpha1/eta)*ln(eta/alpha1) at lambda0 ~ ln(eta/alpha1)."""
     if not (isinstance(eta, (int, float)) and 0 < eta < math.inf):
         raise DomainError(f"eta must be finite and > 0, got {eta!r}")
-    if not 0 < alpha1 < eta:
+    if not (isinstance(alpha1, (int, float)) and 0 < alpha1 < eta):
         raise DomainError(
             f"approximation needs 0 < alpha1 < eta, got alpha1={alpha1}, eta={eta}"
         )
@@ -196,9 +196,9 @@ def max_clock_fidelity(gamma: float, omega_hfp: float) -> float:
     regardless of light level. Arguments are angular frequencies in rad/s
     (any common unit works since only the ratio enters).
     """
-    if not 0 < gamma < math.inf:
+    if not (isinstance(gamma, (int, float)) and 0 < gamma < math.inf):
         raise DomainError(f"gamma must be finite and > 0, got {gamma}")
-    if not omega_hfp > 0:
+    if not (isinstance(omega_hfp, (int, float)) and omega_hfp > 0):
         raise DomainError(f"omega_hfp must be > 0, got {omega_hfp}")
     return 1.0 - (4.0 / 9.0) * (gamma / (2.0 * omega_hfp)) ** 2
 
@@ -213,7 +213,7 @@ def fidelity_curve(species: IonSpecies, scheme, eta_grid) -> list[dict]:
     alpha1, alpha2 = floor_leak_ratios(species, scheme)
     rows = []
     for eta in eta_grid:
-        if not 0 < eta <= 1:
+        if not (isinstance(eta, (int, float)) and 0 < eta <= 1):
             raise DomainError(f"eta grid values must be in (0, 1], got {eta}")
         best = optimize_at(alpha1, alpha2, eta)
         approx = approx_fidelity(eta, alpha1)

@@ -353,7 +353,7 @@ def fit_histograms(
     start point the likelihood is not finite. ``iterations`` counts
     scoring steps.
     """
-    if not tau_d > 0:
+    if not (isinstance(tau_d, (int, float)) and tau_d > 0):
         raise DomainError(f"detection time must be > 0, got {tau_d}")
     scheme = _enum(Scheme, scheme, "scheme")
     dark_c = _counts(dark_hist, "dark")

@@ -28,25 +28,15 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .detmodel import MAX_BINS, LeakParams, PhotonHistogram, _leak_fractions, histogram_cutoff
 from .errors import ConfigError, DomainError, _enum
+from .settings import InitialState, McMode
 
 CHUNK = 65536
 _KEY_SALT = 0x1CE0_D1CE
-
-
-class McMode(str, Enum):
-    RATE_EQUATION = "rate_equation"
-    PHOTON_LEVEL = "photon_level"
-
-
-class InitialState(str, Enum):
-    DARK = "dark"
-    BRIGHT = "bright"
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .detmodel import _cutoffs
 
 # log(k!) is tabulated for k < _TABLE and taken from Loader's form above
 _TABLE = 1024
@@ -104,14 +104,6 @@ def poisson_table(lo: int, top: int, mean):
     return k, k * log_mean - mean - _LOG_FACTORIAL[lo : top + 1]
 
 
-def _cutoffs(mean):
-    """ceil(mean + 12 sqrt(mean) + 30), elementwise on an array of means: the
-    top count of a table at each mean, above which the upper tail is below ~1e-12."""
-    # math takes a fifth of numpy's time on one float, and rounds the same
-    sqrt, ceil = (math.sqrt, math.ceil) if isinstance(mean, float) else (np.sqrt, np.ceil)
-    return ceil(mean + 12.0 * sqrt(mean) + 30.0)
-
-
 def tail_window(n_min: int, n_max: int, mean_min: float, mean_max: float) -> tuple[int, int, int]:
     """(lo, top, fwd): the count range lo..top of the table that the upper
     tails at counts n_min..n_max need, for means in [mean_min, mean_max].
@@ -165,11 +157,3 @@ def log_upper_tails(lp, fwd: int):
         cdf = np.add.accumulate(np.exp(lp[..., :fwd]), axis=-1)
         np.log1p(np.negative(cdf), out=out[..., :fwd], where=cdf <= 0.5)
     return out
-
-
-def _count(n, what: str = "count") -> int:
-    if isinstance(n, float) and n.is_integer():
-        n = int(n)
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise DomainError(f"{what} must be a non-negative integer, got {n!r}")
-    return n

@@ -144,6 +144,48 @@ class TestRuntimeImports:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == "0 False\n0 False\n"
 
+    def test_each_command_loads_only_what_it_runs(self, tmp_path):
+        configs = {
+            "leak.json": {"lambda0": 12.0, "alpha1": 0.05, "alpha2": 0.0, "eta": 1.0},
+            "det.json": FIG_CONFIG,
+            "xt.json": {"wavelength_nm": 214.5, "spacing_um": 5.0},
+            "unknown.json": {**FIG_CONFIG, "bogus": 1},
+            "sp.json": {"species": "cd111", "scheme": "p32"},
+        }
+        for name, doc in configs.items():
+            write_config(tmp_path, doc, name)
+        numpy_free = [["params", "--config", "leak.json"], ["params", "--config", "det.json"],
+                      ["crosstalk", "--config", "xt.json"], ["--help"],
+                      *([name, "--help"] for name in SUBCOMMANDS), ["params", "--config", "unknown.json"]]
+        later = [["dist", "--config", "leak.json", "--out", "dist.csv"],
+                 ["optimize", "--config", "sp.json", "--eta", "0.001"]]
+        env = dict(os.environ, PYTHONPATH=str(Path(ionread.__file__).resolve().parents[1]))
+        # one process: each step records the exit code and every module loaded so far
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import contextlib, io, json, sys\n"
+             "steps = []\n"
+             "def step(code):\n"
+             "    steps.append((code, sorted(m for m in sys.modules if m.split('.')[0] in ('ionread', 'numpy'))))\n"
+             "import ionread\n"
+             "step(0)\n"
+             "from ionread.cli import run_command\n"
+             "step(0)\n"
+             f"for argv in {numpy_free + later!r}:\n"
+             "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+             "        step(run_command(argv))\n"
+             "print(json.dumps(steps))\n"],
+            capture_output=True, text=True, timeout=120, cwd=tmp_path, env=env)
+        assert proc.returncode == 0, proc.stderr
+        steps = json.loads(proc.stdout)
+        codes = [code for code, _ in steps]
+        assert codes == [0] * (len(steps) - 3) + [2, 0, 0]
+        *light, (_, dist), (_, optimize) = steps
+        assert all("numpy" not in loaded for _, loaded in light)
+        assert "numpy" in dist
+        assert not {"ionread.ccd", "ionread.fitkit", "ionread.mcsim", "ionread.fidelity"} & set(dist)
+        assert not {"ionread.ccd", "ionread.fitkit", "ionread.mcsim"} & set(optimize)
+
 
 class TestHelp:
     def test_top_level_help(self, capsys):

@@ -22,6 +22,32 @@ def test_all_names_resolve_once():
     assert missing == []
 
 
+def test_lazy_exports_are_the_home_objects():
+    for name in ionread.__all__:
+        if name == "__version__":
+            continue
+        home = import_module(f"ionread.{ionread._HOME[name]}")
+        obj = getattr(ionread, name)
+        assert vars(home)[name] is obj, name
+        # the home module defines it, not re-exports it
+        assert getattr(obj, "__module__", home.__name__) == home.__name__, name
+
+
+def test_dir_lists_every_export():
+    assert set(ionread.__all__) <= set(dir(ionread))
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from ionread import *", namespace)
+    assert {name: namespace[name] for name in ionread.__all__} == {name: getattr(ionread, name) for name in ionread.__all__}
+
+
+def test_unknown_attribute_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        ionread.no_such_name  # noqa: B018
+
+
 def used_names() -> set:
     """Every identifier read in the package, the scripts, the benchmark and
     the acceptance tests, plus every name in a fenced README code block.
@@ -52,6 +78,7 @@ def test_every_public_name_has_a_user():
 
 CD = ionread.get_species("cd111")
 HIST = ionread.PhotonHistogram(values=(1.0,))
+LEAK = ionread.LeakParams(12.0, 1e-3, 1e-3)
 
 
 @pytest.mark.parametrize("call", [
@@ -80,6 +107,20 @@ def test_unknown_enum_string_is_a_domain_error(call):
     pytest.param(lambda: ionread.equal_error_threshold([[1.0], [2.0, 3.0]], [3.0]), id="equal_error_threshold-ragged"),
     pytest.param(lambda: ionread.get_species([]), id="get_species-list"),
     pytest.param(lambda: ionread.histogram_cutoff("a"), id="histogram_cutoff-string"),
+    pytest.param(lambda: ionread.DetectionConfig("p32", "1", 0, 1e-4, 1e-3), id="DetectionConfig-string-s"),
+    pytest.param(lambda: ionread.DetectionConfig("p32", 0.25, 0, 1e-4, "1"), id="DetectionConfig-string-eta"),
+    pytest.param(lambda: ionread.pmf_arrays(LEAK, "a"), id="pmf_arrays-string-eta"),
+    pytest.param(lambda: ionread.p_dark(1, LEAK, "a"), id="p_dark-string-eta"),
+    pytest.param(lambda: ionread.best_threshold(LEAK, "a"), id="best_threshold-string-eta"),
+    pytest.param(lambda: ionread.simulate_histogram(LEAK, "a", ionread.McConfig(10)), id="simulate_histogram-string-eta"),
+    pytest.param(lambda: ionread.PhotonHistogram(values=("a",)), id="PhotonHistogram-string-bin"),
+    pytest.param(lambda: ionread.PhotonHistogram((1.0,), trials="3"), id="PhotonHistogram-string-trials"),
+    pytest.param(lambda: ionread.detection_params(CD, "x"), id="detection_params-string-config"),
+    pytest.param(lambda: ionread.approx_fidelity(1, "a"), id="approx_fidelity-string-alpha1"),
+    pytest.param(lambda: ionread.max_clock_fidelity("a", 1), id="max_clock_fidelity-string-gamma"),
+    pytest.param(lambda: ionread.max_clock_fidelity(1, "a"), id="max_clock_fidelity-string-omega"),
+    pytest.param(lambda: ionread.fidelity_curve(CD, "p32", ["a"]), id="fidelity_curve-string-eta"),
+    pytest.param(lambda: ionread.fit_histograms(HIST, None, CD, "a"), id="fit_histograms-string-tau_d"),
 ])
 def test_malformed_input_is_a_domain_error(call):
     with pytest.raises(ionread.DomainError):
