@@ -19,12 +19,11 @@ The tests check the closed forms, as exact rationals, against products of
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from .errors import DomainError, _enum
+from .errors import DomainError, _enum, _real
 
 
 class Scheme(str, Enum):
@@ -39,10 +38,8 @@ def _twice_spin(value) -> int:
 
     The check is exact: a spin 1e-13 away from a multiple of 1/2 is refused.
     """
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise DomainError(f"nuclear spin must be a number, got {value!r}")
-    doubled = 2 * value
-    if not (0 <= doubled < math.inf and doubled == math.floor(doubled)):
+    doubled = 2 * _real(value, "nuclear spin", 0)
+    if not (doubled < math.inf and doubled == math.floor(doubled)):
         raise DomainError(
             f"nuclear spin must be a finite, non-negative multiple of 1/2, got {value!r}"
         )

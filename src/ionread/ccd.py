@@ -26,7 +26,7 @@ whatever PSF spill the geometry already produces.
 from __future__ import annotations
 
 import math
-import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, repeat
@@ -34,8 +34,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .detmodel import LeakParams, pmf_arrays
-from .errors import ConfigError, DomainError
+from .detmodel import LeakParams, _leak_fractions, pmf_arrays
+from .errors import ConfigError, DomainError, _count, _instance, _is_integer, _is_real, _real
 from .mcsim import _keyed_rng
 from .settings import CcdParams, crosstalk_ratio, snr  # noqa: F401 (the last two re-exported)
 
@@ -57,7 +57,7 @@ class Roi:
 
     def __post_init__(self):
         box = (self.x0, self.y0, self.width, self.height)
-        if (not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in box)
+        if (not all(map(_is_integer, box))
                 or self.width < 1 or self.height < 1 or self.x0 < 0 or self.y0 < 0):
             raise DomainError(f"ROI must have integer fields, positive size and non-negative origin: {self}")
 
@@ -76,9 +76,11 @@ def default_rois(positions, frame_width: int, frame_height: int,
 
     Boxes must fit inside the frame and must not overlap.
     """
-    half = size // 2
+    _count(frame_width, "frame_width")
+    _count(frame_height, "frame_height")
+    half = _count(size, "size", 1) // 2
     rois = []
-    for i, (x, y) in enumerate(positions):
+    for i, (x, y) in enumerate(_positions(positions)):
         x0, y0 = int(x) - half, int(y) - half
         if x0 < 0 or y0 < 0 or x0 + size > frame_width or y0 + size > frame_height:
             raise ConfigError(f"ROI around positions[{i}] = ({x},{y}) leaves the {frame_width}x{frame_height} frame")
@@ -96,6 +98,15 @@ _ITER_TRIALS = 1024
 _CSV_ROWS = 4096
 
 
+def _positions(positions) -> list:
+    """positions as a list of (x, y) pairs of finite numbers."""
+    try:
+        pairs = [(x, y) for x, y in positions]
+    except (TypeError, ValueError):  # not a sequence of pairs
+        raise DomainError(f"positions must be a sequence of (x, y) pairs, got {positions!r}") from None
+    return [(_real(x, f"positions[{i}]"), _real(y, f"positions[{i}]")) for i, (x, y) in enumerate(pairs)]
+
+
 def _frame_size(positions, side: int, frame_width, frame_height) -> tuple[int, int]:
     """Frame dimensions; a None one makes room for side x side boxes around the ions."""
     if len(positions) == 0:
@@ -105,7 +116,8 @@ def _frame_size(positions, side: int, frame_width, frame_height) -> tuple[int, i
         frame_width = max(int(x) for x, _ in positions) + margin
     if frame_height is None:
         frame_height = max(int(y) for _, y in positions) + margin
-    if min(frame_width, frame_height) < 1 or frame_width * frame_height > MAX_PIXELS:
+    if not (_is_integer(frame_width) and _is_integer(frame_height)
+            and min(frame_width, frame_height) >= 1 and frame_width * frame_height <= MAX_PIXELS):
         raise ConfigError(f"the {frame_width}x{frame_height} frame set by frame_width, frame_height or "
                           f"positions must hold 1 to {MAX_PIXELS} pixels")
     return frame_width, frame_height
@@ -152,14 +164,9 @@ def _count_cdfs(per_ion_lambda0: tuple, alpha1: float, alpha2: float, eta: float
 
 
 def _parse_states(states, n_ions: int):
-    if isinstance(states, str):
-        if not re.fullmatch(r"[01]+", states):
-            raise DomainError(f"state string must be over 0/1, got {states!r}")
-        bits = tuple(int(c) for c in states)
-    else:
-        bits = tuple(int(b) for b in states)
-        if any(b not in (0, 1) for b in bits):
-            raise DomainError(f"states must be 0/1, got {states!r}")
+    if isinstance(states, str):  # a 0/1 string: one character per ion
+        states = [int(c) if c in ("0", "1") else c for c in states]
+    bits = tuple(_count(b, "each state", 0, 2) for b in _instance(states, Iterable, "states"))
     if len(bits) != n_ions:
         raise DomainError(f"{len(bits)} states for {n_ions} ion positions")
     return bits
@@ -176,10 +183,11 @@ def _sampler(positions, per_ion_lambda0, leak, eta, ccd, crosstalk_eps, frame_sh
     noise of every read pixel.
     """
     n_ions = len(positions)
+    per_ion_lambda0 = [_real(v, "per_ion_lambda0", 0)
+                       for v in _instance(per_ion_lambda0, Iterable, "per_ion_lambda0")]
     if len(per_ion_lambda0) != n_ions:
         raise DomainError(f"{len(per_ion_lambda0)} light levels for {n_ions} ions")
-    if not 0.0 <= crosstalk_eps < 0.5:
-        raise DomainError(f"crosstalk_eps must be in [0, 0.5), got {crosstalk_eps}")
+    _real(crosstalk_eps, "crosstalk_eps", 0, 0.5, "[)")
     centers = np.array(positions, dtype=np.float64)
     stack, starts = _count_cdfs(tuple(float(v) for v in per_ion_lambda0), leak.alpha1, leak.alpha2, eta)
     height, width = frame_shape
@@ -220,11 +228,15 @@ def _sampler(positions, per_ion_lambda0, leak, eta, ccd, crosstalk_eps, frame_sh
 
 def _thresholds(thresholds, n_rois: int) -> np.ndarray:
     """One threshold per ROI, as an array; a NaN one would read its ion as always dark."""
-    if len(thresholds) != n_rois:
-        raise DomainError(f"{n_rois} ROIs but {len(thresholds)} thresholds")
-    thresholds = np.array(thresholds, dtype=np.float64)
+    values = list(_instance(thresholds, Iterable, "thresholds"))
+    if len(values) != n_rois:
+        raise DomainError(f"{n_rois} ROIs but {len(values)} thresholds")
+    try:
+        thresholds = np.array([float(t) if _is_real(t) else math.nan for t in values])
+    except OverflowError:  # an int beyond the float range
+        thresholds = np.full(n_rois, math.nan)
     if np.isnan(thresholds).any():
-        raise DomainError(f"thresholds must be numbers, not NaN: {thresholds.tolist()}")
+        raise DomainError(f"thresholds must be numbers, not NaN: {values}")
     return thresholds
 
 
@@ -253,17 +265,19 @@ def simulate_register_batch(
     ccd.roi_super_pixels super-pixels, so that count must be a perfect
     square; only the ROI pixels are drawn.
     """
-    if isinstance(trials, bool) or not (isinstance(trials, int) and trials >= 1):
-        raise DomainError(f"trials must be a positive integer, got {trials!r}")
+    _count(trials, "trials", 1)
+    positions = _positions(positions)
     if trials * len(positions) > MAX_READOUTS:
         raise ConfigError(f"{trials} trials of {len(positions)} ions exceed the cap of {MAX_READOUTS} readouts")
-    side = math.isqrt(ccd.roi_super_pixels)
+    _count(seed, "seed", 0, 2**64)
+    _leak_fractions(leak, eta)
+    side = math.isqrt(_instance(ccd, CcdParams, "imager settings").roi_super_pixels)
     if side * side != ccd.roi_super_pixels:
         raise DomainError(f"roi_super_pixels must be a perfect square, got {ccd.roi_super_pixels}")
     frame_width, frame_height = _frame_size(positions, side, frame_width, frame_height)
     n_ions = len(positions)
     thresholds = _thresholds(thresholds, n_ions)
-    fixed = None if states == "random" else _parse_states(states, n_ions)
+    fixed = None if isinstance(states, str) and states == "random" else _parse_states(states, n_ions)
     grid = np.arange(frame_height * frame_width).reshape(frame_height, frame_width)
     read_pixels = np.concatenate([grid[r.y0 : r.y0 + side, r.x0 : r.x0 + side].ravel()
                                   for r in default_rois(positions, frame_width, frame_height, size=side)])
@@ -272,12 +286,18 @@ def simulate_register_batch(
     sums = np.empty((trials, n_ions))
     truth = np.empty((trials, n_ions), dtype=np.int64)
     rng = None
-    for block, start in enumerate(range(0, trials, BLOCK)):
-        states = truth[start : start + BLOCK]
-        rng = _keyed_rng(seed, _STREAM_SALT, block, rng)
-        states[...] = rng.integers(0, 2, states.shape) if fixed is None else fixed
-        sums[start : start + BLOCK] = expose(rng, states).reshape(len(states), n_ions, -1).sum(axis=2)
-    sums -= ccd.roi_super_pixels * ccd.offset
+    # imager settings near the float range can overflow a sum, or a photon's position past int64
+    # (it lands off the frame either way): such sums are refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block, start in enumerate(range(0, trials, BLOCK)):
+            states = truth[start : start + BLOCK]
+            rng = _keyed_rng(seed, _STREAM_SALT, block, rng)
+            states[...] = rng.integers(0, 2, states.shape) if fixed is None else fixed
+            sums[start : start + BLOCK] = expose(rng, states).reshape(len(states), n_ions, -1).sum(axis=2)
+        sums -= ccd.roi_super_pixels * ccd.offset
+    if not np.isfinite(sums).all():
+        raise DomainError(f"ROI sums leave the float range at offset {ccd.offset}, counts_per_photon "
+                          f"{ccd.counts_per_photon} and readout_rms_r {ccd.readout_rms_r}")
     return RegisterBatch(sums, (sums > thresholds).astype(int), truth)
 
 
@@ -364,7 +384,7 @@ def conditional_correlations(batch: RegisterBatch) -> CorrelationReport:
     an event that never occurred are flagged undefined (NaN), since
     absence of evidence is not evidence of independence.
     """
-    if len(batch) < 100:
+    if len(_instance(batch, RegisterBatch, "batch")) < 100:
         raise DomainError(f"need at least 100 readouts, got {len(batch)}")
     bits = np.asarray(batch.bits, dtype=np.int64)
     n_trials, n_ions = bits.shape

@@ -36,7 +36,7 @@ from .detmodel import (
     pmf_arrays,
     species_from_dict,
 )
-from .errors import ConfigError, DomainError, IonReadError
+from .errors import ConfigError, DomainError, IonReadError, _is_integer, _is_real
 from .settings import CcdParams, InitialState, McMode, crosstalk_ratio
 
 _F = "%.9g"
@@ -94,8 +94,8 @@ def _parser(doc: str, accepts=None, convert=None):
     return parse
 
 
-_real = _parser("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), float)
-_integer = _parser("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
+_real = _parser("a number", _is_real, float)
+_integer = _parser("an integer", _is_integer)
 _boolean = _parser("true or false", lambda v: isinstance(v, bool))
 _text = _parser("a string", lambda v: isinstance(v, str))
 _path = _parser("a file path", lambda v: isinstance(v, str))

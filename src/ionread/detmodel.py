@@ -38,19 +38,16 @@ exactly once at parse time. Detection time in seconds, wavelengths in nm.
 
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass, field, fields
 from typing import Mapping
 
 from .angular import Scheme, _twice_spin, branching_ratios
-from .errors import ConfigError, DomainError, _count, _enum
+from .errors import ConfigError, DomainError, _count, _enum, _instance, _real
 
 TWO_PI = 2.0 * math.pi
-
-
-def _require_positive(name: str, value) -> None:
-    if value is not None and not (isinstance(value, (int, float)) and value > 0):
-        raise DomainError(f"{name} must be > 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -75,22 +72,15 @@ class IonSpecies:
     wavelength_p12_nm: float | None = None
 
     def __post_init__(self):
-        if not self.name:
-            raise DomainError("species name must be non-empty")
+        if not (isinstance(self.name, str) and self.name):
+            raise DomainError(f"species name must be a non-empty string, got {self.name!r}")
         for fname in ("nuclear_spin", "omega_hfs"):
             if getattr(self, fname) is None:
                 raise DomainError(f"species {self.name!r} needs {fname}")
         _twice_spin(self.nuclear_spin)
-        _require_positive("omega_hfs", self.omega_hfs)
-        for fname in (
-            "gamma_p32",
-            "omega_hfp32",
-            "wavelength_p32_nm",
-            "gamma_p12",
-            "omega_hfp12",
-            "wavelength_p12_nm",
-        ):
-            _require_positive(fname, getattr(self, fname))
+        for f in fields(self)[2:]:  # omega_hfs and the excited-level constants
+            if getattr(self, f.name) is not None:
+                _real(getattr(self, f.name), f.name, 0, ends="()")
 
     @classmethod
     def from_frequencies(
@@ -108,24 +98,25 @@ class IonSpecies:
     ) -> "IonSpecies":
         """Build a species from ordinary frequencies as usually quoted.
 
-        This is the single place the 2*pi conversion happens.
+        This is the single place the 2*pi conversion happens. A frequency
+        is checked as quoted, then again in rad/s, where it may overflow.
         """
 
-        def mhz(v):
-            return None if v is None else TWO_PI * v * 1e6
-
-        def ghz(v):
-            return None if v is None else TWO_PI * v * 1e9
+        def rad_per_s(key, value, scale):
+            if value is None:
+                return None
+            omega = TWO_PI * _real(value, key, 0, ends="()") * scale
+            return _real(omega, f"{key} = {value!r} in rad/s", 0, ends="()")
 
         return cls(
             name=name,
             nuclear_spin=nuclear_spin,
-            omega_hfs=ghz(omega_hfs_ghz),
-            gamma_p32=mhz(gamma_p32_mhz),
-            omega_hfp32=ghz(omega_hfp32_ghz),
+            omega_hfs=rad_per_s("omega_hfs_ghz", omega_hfs_ghz, 1e9),
+            gamma_p32=rad_per_s("gamma_p32_mhz", gamma_p32_mhz, 1e6),
+            omega_hfp32=rad_per_s("omega_hfp32_ghz", omega_hfp32_ghz, 1e9),
             wavelength_p32_nm=wavelength_p32_nm,
-            gamma_p12=mhz(gamma_p12_mhz),
-            omega_hfp12=ghz(omega_hfp12_ghz),
+            gamma_p12=rad_per_s("gamma_p12_mhz", gamma_p12_mhz, 1e6),
+            omega_hfp12=rad_per_s("omega_hfp12_ghz", omega_hfp12_ghz, 1e9),
             wavelength_p12_nm=wavelength_p12_nm,
         )
 
@@ -170,16 +161,8 @@ def get_species(name: str) -> IonSpecies:
         raise DomainError(f"unknown species {name!r}; known: {', '.join(known)}") from None
 
 
-_SPECIES_KEYS = {
-    "nuclear_spin",
-    "omega_hfs_ghz",
-    "gamma_p32_mhz",
-    "omega_hfp32_ghz",
-    "wavelength_p32_nm",
-    "gamma_p12_mhz",
-    "omega_hfp12_ghz",
-    "wavelength_p12_nm",
-}
+# the keys of a species definition: the quoted quantities from_frequencies takes
+_SPECIES_KEYS = set(inspect.signature(IonSpecies.from_frequencies).parameters) - {"name"}
 
 
 def species_from_dict(name: str, fields: Mapping) -> IonSpecies:
@@ -224,20 +207,12 @@ class DetectionConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "scheme", _enum(Scheme, self.scheme, "scheme"))
-        for fname in ("s", "delta", "tau_d", "eta", "p_pi", "p_minus"):
-            v = getattr(self, fname)
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise DomainError(f"{fname} must be a number, got {v!r}")
-        if not self.s >= 0:
-            raise DomainError(f"saturation parameter must be >= 0, got {self.s}")
-        if not math.isfinite(self.delta):
-            raise DomainError(f"detuning must be finite, got {self.delta}")
-        if not self.tau_d > 0:
-            raise DomainError(f"detection time must be > 0, got {self.tau_d}")
-        if not 0 < self.eta <= 1:
-            raise DomainError(f"collection efficiency must be in (0, 1], got {self.eta}")
-        if not (self.p_pi >= 0 and self.p_minus >= 0):
-            raise DomainError("polarization impurities must be >= 0")
+        _real(self.s, "saturation parameter", 0)
+        _real(self.delta, "detuning")
+        _real(self.tau_d, "detection time", 0, ends="()")
+        _real(self.eta, "collection efficiency", 0, 1, "(]")
+        _real(self.p_pi, "p_pi", 0)
+        _real(self.p_minus, "p_minus", 0)
         if self.p_pi + self.p_minus >= 1:
             raise DomainError(
                 f"impurity fractions must sum below 1, got {self.p_pi + self.p_minus}"
@@ -259,10 +234,9 @@ class LeakParams:
     alpha2: float
 
     def __post_init__(self):
-        for fname in ("lambda0", "alpha1", "alpha2"):
-            v = getattr(self, fname)
-            if isinstance(v, bool) or not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0):
-                raise DomainError(f"{fname} must be finite and >= 0, got {v!r}")
+        _real(self.lambda0, "lambda0", 0)
+        _real(self.alpha1, "alpha1", 0)
+        _real(self.alpha2, "alpha2", 0)
 
 
 @dataclass
@@ -276,17 +250,26 @@ class PhotonHistogram:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        vals = tuple(self.values)
+        vals = tuple(_instance(self.values, Iterable, "histogram values"))
         if len(vals) == 0:
             raise DomainError("histogram must have at least one bin")
-        if any(isinstance(v, bool) or not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0)
-               for v in vals):
-            raise DomainError("histogram bins must be finite numbers >= 0")
-        self.values = vals = tuple(map(float, vals))
-        total = math.fsum(vals)
+        _instance(self.meta, dict, "histogram meta")
+        # int and float bins, the common case, are checked at C speed: they
+        # pass when none is negative and their sum is finite
+        if set(map(type, vals)) - {int, float}:
+            vals = tuple(float(_real(v, "histogram bins", 0)) for v in vals)
+        try:
+            floats = tuple(map(float, vals))
+            total = math.fsum(floats) if min(floats) >= 0 else math.nan
+        except (OverflowError, ValueError):  # an int or a sum beyond the float range; inf - inf
+            total = math.nan
+        if not total < math.inf:
+            for v in vals:
+                _real(v, "histogram bins", 0)
+            raise DomainError("the histogram bins sum beyond the float range")
+        self.values = floats
         if self.trials is not None:
-            if isinstance(self.trials, bool) or not isinstance(self.trials, int):
-                raise DomainError(f"histogram trials must be an integer, got {self.trials!r}")
+            _count(self.trials, "histogram trials", 0, 2**53)  # a float sum counts exactly below 2**53
             if abs(total - self.trials) > 0.5:
                 raise DomainError(f"histogram bins sum to {total} but trials={self.trials}")
 
@@ -329,33 +312,37 @@ def detection_params(species: IonSpecies, config: DetectionConfig) -> LeakParams
     for the p12 scheme all polarizations are applied deliberately and the
     2/9 branching ratio applies directly.
     """
-    if not (isinstance(species, IonSpecies) and isinstance(config, DetectionConfig)):
-        raise DomainError(f"detection_params needs an IonSpecies and a DetectionConfig, "
-                          f"got {type(species).__name__} and {type(config).__name__}")
+    _instance(species, IonSpecies, "species")
+    _instance(config, DetectionConfig, "detection config")
     scheme = config.scheme
     gamma, detuning_1, detuning_2 = _scheme_constants(species, scheme)
     ratios = branching_ratios(species.nuclear_spin, scheme)
-    sat = 1.0 + config.s + (2.0 * config.delta / gamma) ** 2
-    lambda0 = config.tau_d * config.eta * config.s * (gamma / 2.0) / sat
-    alpha1 = ratios.m1 * sat * (gamma / (2.0 * detuning_1)) ** 2
-    if scheme is Scheme.P32:
-        impurity = config.p_pi + config.p_minus
-        pumping = ratios.m2_pi * config.p_pi + ratios.m2_minus * config.p_minus
-        alpha2 = sat * (gamma / (2.0 * detuning_2)) ** 2 * pumping / (1.0 - impurity)
-    else:
-        alpha2 = ratios.m2_pi * sat * (gamma / (2.0 * detuning_2)) ** 2
+    try:
+        sat = 1.0 + config.s + (2.0 * config.delta / gamma) ** 2
+        lambda0 = config.tau_d * config.eta * config.s * (gamma / 2.0) / sat
+        alpha1 = ratios.m1 * sat * (gamma / (2.0 * detuning_1)) ** 2
+        if scheme is Scheme.P32:
+            impurity = config.p_pi + config.p_minus
+            pumping = ratios.m2_pi * config.p_pi + ratios.m2_minus * config.p_minus
+            alpha2 = sat * (gamma / (2.0 * detuning_2)) ** 2 * pumping / (1.0 - impurity)
+        else:
+            alpha2 = ratios.m2_pi * sat * (gamma / (2.0 * detuning_2)) ** 2
+    except OverflowError:  # a square beyond the float range
+        raise DomainError(f"the leak parameters of species {species.name!r} under the {scheme.value} "
+                          f"scheme leave the float range") from None
     return LeakParams(lambda0=lambda0, alpha1=alpha1, alpha2=alpha2)
 
 
 def _leak_fractions(params: LeakParams, eta: float) -> tuple[float, float]:
-    if not (isinstance(eta, (int, float)) and 0 < eta <= 1):
-        raise DomainError(f"collection efficiency must be in (0, 1], got {eta}")
-    a1 = params.alpha1 / eta
+    _instance(params, LeakParams, "leak parameters")
+    a1 = params.alpha1 / _real(eta, "collection efficiency", 0, 1, "(]")
     a2 = params.alpha2 / eta
     if a1 >= 1.0:
         raise DomainError(
             f"alpha1/eta must be < 1 for the dark distribution to hold, got {a1}"
         )
+    if a2 == math.inf:
+        raise DomainError(f"alpha2/eta must be finite, got {params.alpha2!r}/{eta!r}")
     return a1, a2
 
 
@@ -420,13 +407,13 @@ def count_pmfs(n, lambda0, a1: float, a2: float):
 def p_dark(n, params: LeakParams, eta: float) -> float:
     """Probability a dark ion yields exactly n detected photons."""
     a1, a2 = _leak_fractions(params, eta)
-    return float(count_pmfs(_count(n), params.lambda0, a1, a2)[0])
+    return float(count_pmfs(_count(n, "n", 0, MAX_BINS + 1), params.lambda0, a1, a2)[0])
 
 
 def p_bright(n, params: LeakParams, eta: float) -> float:
     """Probability a bright ion yields exactly n detected photons."""
     a1, a2 = _leak_fractions(params, eta)
-    return float(count_pmfs(_count(n), params.lambda0, a1, a2)[1])
+    return float(count_pmfs(_count(n, "n", 0, MAX_BINS + 1), params.lambda0, a1, a2)[1])
 
 
 # Cap on the top count n_max of any count table or histogram: 8 MiB per pmf, and
@@ -449,17 +436,14 @@ def _cutoffs(mean):
 
 def histogram_cutoff(lambda0: float) -> int:
     """Bin count that bounds the neglected upper tail below ~1e-12."""
-    if not (isinstance(lambda0, (int, float)) and math.isfinite(lambda0) and lambda0 >= 0):
-        raise DomainError(f"lambda0 must be finite and >= 0, got {lambda0!r}")
-    return int(_cutoffs(lambda0))
+    return int(_cutoffs(float(_real(lambda0, "lambda0", 0))))
 
 
 def pmf_arrays(params: LeakParams, eta: float, n_max: int | None = None):
     """Dark and bright pmfs tabulated on 0..n_max inclusive, as arrays."""
     a1, a2 = _leak_fractions(params, eta)
-    if n_max is None:
-        n_max = histogram_cutoff(params.lambda0)
-    if _count(n_max, "n_max") > MAX_BINS:
+    n_max = histogram_cutoff(params.lambda0) if n_max is None else _count(n_max, "n_max")
+    if n_max > MAX_BINS:
         raise DomainError(f"a pmf table at lambda0 = {params.lambda0:.9g} needs counts up to {n_max}, "
                           f"above the cap of {MAX_BINS}")
     import numpy as np

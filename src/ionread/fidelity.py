@@ -18,6 +18,7 @@ the threshold exhaustively at each light level.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -32,7 +33,7 @@ from .detmodel import (
     detection_params,
     pmf_arrays,
 )
-from .errors import DomainError
+from .errors import DomainError, _count, _instance, _real
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -93,7 +94,7 @@ def floor_leak_ratios(species: IonSpecies, scheme) -> tuple[float, float]:
 
 
 def _lambda0_bound(alpha1: float, eta: float) -> float:
-    a1 = alpha1 / eta
+    a1 = _real(alpha1, "alpha1", 0) / _real(eta, "collection efficiency", 0, 1, "(]")
     if not 0 < a1 < 1:
         raise DomainError(f"optimization needs 0 < alpha1/eta < 1, got {a1}")
     return 3.0 * math.log(1.0 / a1)
@@ -113,8 +114,7 @@ def optimize_at(
     lambda0 to the requested relative width, threshold re-optimized at
     every light level evaluated. Deterministic.
     """
-    if grid_points < 3:
-        raise DomainError(f"grid must have at least 3 points, got {grid_points}")
+    _count(grid_points, "grid_points", 3)
     hi = _lambda0_bound(alpha1, eta)
     LeakParams(hi, alpha1, alpha2)  # validates the leak ratios
 
@@ -163,8 +163,6 @@ def optimize_detection(species: IonSpecies, scheme, eta: float) -> Discriminatio
     Applies the zero-power idealization (leak ratios at their floors) and
     jointly maximizes over the light level and the integer threshold.
     """
-    if not (isinstance(eta, (int, float)) and 0 < eta <= 1):
-        raise DomainError(f"collection efficiency must be in (0, 1], got {eta!r}")
     alpha1, alpha2 = floor_leak_ratios(species, scheme)
     return optimize_at(alpha1, alpha2, eta)
 
@@ -178,13 +176,10 @@ class ApproxFidelity(NamedTuple):
 
 def approx_fidelity(eta: float, alpha1: float) -> ApproxFidelity:
     """F ~ 1 - (alpha1/eta)*ln(eta/alpha1) at lambda0 ~ ln(eta/alpha1)."""
-    if not (isinstance(eta, (int, float)) and 0 < eta < math.inf):
-        raise DomainError(f"eta must be finite and > 0, got {eta!r}")
-    if not (isinstance(alpha1, (int, float)) and 0 < alpha1 < eta):
-        raise DomainError(
-            f"approximation needs 0 < alpha1 < eta, got alpha1={alpha1}, eta={eta}"
-        )
-    log_term = math.log(eta / alpha1)
+    _real(eta, "eta", 0, ends="()")
+    _real(alpha1, "alpha1", 0, eta, "()")
+    # eta/alpha1 overflows only where alpha1/eta is below the smallest float
+    log_term = math.log(eta / alpha1) if eta / alpha1 < math.inf else math.log(eta) - math.log(alpha1)
     return ApproxFidelity(fidelity=1.0 - (alpha1 / eta) * log_term, lambda0=log_term)
 
 
@@ -196,11 +191,12 @@ def max_clock_fidelity(gamma: float, omega_hfp: float) -> float:
     regardless of light level. Arguments are angular frequencies in rad/s
     (any common unit works since only the ratio enters).
     """
-    if not (isinstance(gamma, (int, float)) and 0 < gamma < math.inf):
-        raise DomainError(f"gamma must be finite and > 0, got {gamma}")
-    if not (isinstance(omega_hfp, (int, float)) and omega_hfp > 0):
-        raise DomainError(f"omega_hfp must be > 0, got {omega_hfp}")
-    return 1.0 - (4.0 / 9.0) * (gamma / (2.0 * omega_hfp)) ** 2
+    try:
+        ceiling = 1.0 - (4.0 / 9.0) * (_real(gamma, "gamma", 0, ends="()")
+                                       / (2.0 * _real(omega_hfp, "omega_hfp", 0, ends="()"))) ** 2
+    except OverflowError:  # the square left the float range
+        ceiling = -math.inf
+    return _real(ceiling, f"the clock ceiling of gamma {gamma} and omega_hfp {omega_hfp}")
 
 
 def fidelity_curve(species: IonSpecies, scheme, eta_grid) -> list[dict]:
@@ -212,9 +208,7 @@ def fidelity_curve(species: IonSpecies, scheme, eta_grid) -> list[dict]:
     """
     alpha1, alpha2 = floor_leak_ratios(species, scheme)
     rows = []
-    for eta in eta_grid:
-        if not (isinstance(eta, (int, float)) and 0 < eta <= 1):
-            raise DomainError(f"eta grid values must be in (0, 1], got {eta}")
+    for eta in _instance(eta_grid, Iterable, "eta_grid"):
         best = optimize_at(alpha1, alpha2, eta)
         approx = approx_fidelity(eta, alpha1)
         rows.append(
@@ -232,7 +226,7 @@ def fidelity_curve(species: IonSpecies, scheme, eta_grid) -> list[dict]:
 def format_curve_csv(rows) -> str:
     """CSV table with the documented fixed header."""
     lines = ["eta,infidelity_numeric,infidelity_approx,lambda0_opt,d_opt"]
-    for row in rows:
+    for row in _instance(rows, list, "curve rows"):
         lines.append(
             "%.9g,%.9g,%.9g,%.9g,%d"
             % (

@@ -49,7 +49,7 @@ from .detmodel import (
     detection_params,
     histogram_cutoff,
 )
-from .errors import DomainError, _enum
+from .errors import DomainError, _count, _enum, _instance, _real
 from .specfun import log_poisson
 
 _LOG_BOUNDS = {
@@ -85,7 +85,7 @@ class FitResult:
 
 
 def _counts(hist: PhotonHistogram, name: str) -> np.ndarray:
-    values = np.asarray(hist.values, dtype=np.float64)
+    values = np.asarray(_instance(hist, PhotonHistogram, f"the {name} histogram").values, dtype=np.float64)
     total = values.sum()
     if total <= 0:
         raise DomainError(f"{name} histogram has no counts; the fit is degenerate")
@@ -146,7 +146,11 @@ def model_distributions(
     scheme: Scheme = Scheme.P32,
 ):
     """Dark and bright model pmfs on 0..n_top for one parameter point."""
-    return _model(species, scheme, tau_d, eta, s, p_impure, lambda_bg, n_top or 0)[:2]
+    _real(p_impure, "p_impure", 0)
+    if lambda_bg is not None:
+        _real(lambda_bg, "lambda_bg", 0)
+    n_top = 0 if n_top is None else _count(n_top, "n_top")
+    return _model(species, scheme, tau_d, eta, s, p_impure, lambda_bg, n_top)[:2]
 
 
 class _LeakMap:
@@ -166,9 +170,13 @@ class _LeakMap:
         ratios = branching_ratios(species.nuclear_spin, scheme)
         self.p32 = scheme is Scheme.P32
         m2 = (ratios.m2_pi + ratios.m2_minus) / 2.0 if self.p32 else ratios.m2_pi
-        self.log_photons = math.log(tau_d * gamma / 2.0)
-        self.log_c1 = math.log(ratios.m1 * (gamma / (2.0 * detuning_1)) ** 2)
-        self.log_c2 = math.log(m2 * (gamma / (2.0 * detuning_2)) ** 2)
+        try:
+            self.log_photons = math.log(tau_d * gamma / 2.0)
+            self.log_c1 = math.log(ratios.m1 * (gamma / (2.0 * detuning_1)) ** 2)
+            self.log_c2 = math.log(m2 * (gamma / (2.0 * detuning_2)) ** 2)
+        except (OverflowError, ValueError):  # a product beyond the float range, or rounded to 0
+            raise DomainError(f"the leak parameters of species {species.name!r} under the {scheme.value} "
+                              f"scheme leave the float range") from None
 
     def natural(self, log_lambda0: float, log_a1: float, log_a2: float) -> dict:
         """log(eta, s, p_impure) at log(lambda0, a1, a2), keyed as _LOG_BOUNDS."""
@@ -353,8 +361,9 @@ def fit_histograms(
     start point the likelihood is not finite. ``iterations`` counts
     scoring steps.
     """
-    if not (isinstance(tau_d, (int, float)) and tau_d > 0):
-        raise DomainError(f"detection time must be > 0, got {tau_d}")
+    _real(tau_d, "detection time", 0, ends="()")
+    _instance(species, IonSpecies, "species")
+    _instance(fit_background, bool, "fit_background")
     scheme = _enum(Scheme, scheme, "scheme")
     dark_c = _counts(dark_hist, "dark")
     bright_c = _counts(bright_hist, "bright") if bright_hist is not None else None
@@ -373,6 +382,7 @@ def fit_histograms(
 
 def format_fit_result(result: FitResult) -> str:
     """Structured key: value text block."""
+    _instance(result, FitResult, "fit result")
     lines = [
         "eta: %.9g" % result.eta,
         "s: %.9g" % result.s,
@@ -395,7 +405,8 @@ def format_model_csv(
 ) -> str:
     """Per-bin data counts next to the fitted model's expected counts, as CSV."""
     # a dark-only fit has an empty bright histogram, whose columns read 0
-    hists = [np.asarray(() if h is None else h.values, dtype=np.float64)
+    _instance(result, FitResult, "fit result")
+    hists = [np.asarray(() if h is None else _instance(h, PhotonHistogram, "histogram").values, dtype=np.float64)
              for h in (dark_hist, bright_hist)]
     bins = max(map(len, hists))
     models = model_distributions(species, tau_d, result.eta, result.s, result.p_impure,

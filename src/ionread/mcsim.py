@@ -26,13 +26,14 @@ counts.
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .detmodel import MAX_BINS, LeakParams, PhotonHistogram, _leak_fractions, histogram_cutoff
-from .errors import ConfigError, DomainError, _enum
+from .errors import ConfigError, DomainError, _count, _enum, _instance, _real
 from .settings import InitialState, McMode
 
 CHUNK = 65536
@@ -47,10 +48,8 @@ class McConfig:
     initial: InitialState = InitialState.DARK
 
     def __post_init__(self):
-        if not isinstance(self.trials, int) or isinstance(self.trials, bool) or self.trials < 1:
-            raise DomainError(f"trials must be a positive integer, got {self.trials!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed < 2**64:
-            raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        _count(self.trials, "trials", 1)
+        _count(self.seed, "seed", 0, 2**64)
         object.__setattr__(self, "mode", _enum(McMode, self.mode, "Monte Carlo mode"))
         object.__setattr__(self, "initial", _enum(InitialState, self.initial, "initial state"))
 
@@ -62,10 +61,9 @@ def _keyed_rng(seed: int, salt: int, index: int, rng: np.random.Generator | None
     own salt, so no two uses share a key. Given rng, a Philox generator,
     it is re-keyed in place to the state a new one would start in (zero
     counter, empty buffer) and returned: a new Philox first draws OS
-    entropy for a seed that the key then discards.
+    entropy for a seed that the key then discards. The caller checks the
+    seed, a 64-bit unsigned integer.
     """
-    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
-        raise DomainError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
     key = np.array([seed, (salt << 32) + index], dtype=np.uint64)
     if rng is None:
         return np.random.Generator(np.random.Philox(key=key))
@@ -74,10 +72,7 @@ def _keyed_rng(seed: int, salt: int, index: int, rng: np.random.Generator | None
     return rng
 
 
-def _rate_equation_chunk(rng, size, params, eta, initial):
-    lam0 = params.lambda0
-    a1, a2 = _leak_fractions(params, eta)
-    a = a1 if initial is InitialState.DARK else a2
+def _rate_equation_chunk(rng, size, lam0, a, eta, initial):
     if a * lam0 == 0.0:
         x = np.full(size, np.inf)
     else:
@@ -92,10 +87,8 @@ def _rate_equation_chunk(rng, size, params, eta, initial):
     return rng.poisson(x), no_leak
 
 
-def _photon_level_chunk(rng, size, params, eta, initial):
-    lam0 = params.lambda0
-    a1, a2 = _leak_fractions(params, eta)
-    alpha = (a1 if initial is InitialState.DARK else a2) * eta
+def _photon_level_chunk(rng, size, lam0, a, eta, initial):
+    alpha = a * eta
     slots = rng.poisson(lam0 / eta, size=size)
     if alpha == 0.0:
         leak_slot = np.full(size, np.iinfo(np.int64).max, dtype=np.int64)
@@ -113,18 +106,16 @@ def _photon_level_chunk(rng, size, params, eta, initial):
 def _chunk_counts(params: LeakParams, eta: float, config: McConfig, chunk_index: int):
     """Bin counts and no-leak tally of one fixed trial block.
 
-    Block i covers trials [i*CHUNK, min((i+1)*CHUNK, trials)). Exposed so
-    reductions over blocks in any order can be checked for equality.
+    Block i, one of the blocks simulate_histogram runs, covers trials
+    [i*CHUNK, min((i+1)*CHUNK, trials)).
     """
     start = chunk_index * CHUNK
-    if not 0 <= start < config.trials:
-        raise DomainError(f"chunk {chunk_index} is out of range for {config.trials} trials")
     size = min(CHUNK, config.trials - start)
     rng = _keyed_rng(config.seed, _KEY_SALT, chunk_index)
-    if config.mode is McMode.RATE_EQUATION:
-        counts, no_leak = _rate_equation_chunk(rng, size, params, eta, config.initial)
-    else:
-        counts, no_leak = _photon_level_chunk(rng, size, params, eta, config.initial)
+    # the leak fraction per detected photon of the initial state
+    a = _leak_fractions(params, eta)[config.initial is InitialState.BRIGHT]
+    chunk = _rate_equation_chunk if config.mode is McMode.RATE_EQUATION else _photon_level_chunk
+    counts, no_leak = chunk(rng, size, params.lambda0, a, eta, config.initial)
     return np.bincount(counts), no_leak
 
 
@@ -136,6 +127,12 @@ def simulate_histogram(params: LeakParams, eta: float, config: McConfig) -> Phot
     no_leak_trials, the number of trajectories whose leak never fired
     inside the window (the point mass of the leak-time law).
     """
+    _leak_fractions(params, eta)
+    if _instance(config, McConfig, "Monte Carlo config").mode is McMode.PHOTON_LEVEL:
+        # each trial draws Poisson(lambda0/eta) emission slots, each slot a Bernoulli(alpha) leak check
+        _real(params.lambda0 / eta, "lambda0/eta, the mean emission slots of a photon-level trial", 0, 1e18)
+        if config.initial is InitialState.BRIGHT:
+            _real(params.alpha2, "alpha2, the leak probability per emitted photon", 0, 1)
     # the histogram is as wide as the largest count, almost surely below histogram_cutoff(lambda0)
     if histogram_cutoff(params.lambda0) > MAX_BINS:
         raise DomainError(f"a Monte Carlo histogram at lambda0 = {params.lambda0:.9g} needs counts up to "
@@ -166,7 +163,7 @@ def simulate_histogram(params: LeakParams, eta: float, config: McConfig) -> Phot
 
 def format_histogram_csv(hist: PhotonHistogram) -> str:
     """CSV with a comment metadata line, then n,count rows (occupied bins)."""
-    meta = hist.meta or {}
+    meta = _instance(hist, PhotonHistogram, "histogram").meta
     trials = hist.trials if hist.trials is not None else int(round(hist.total))
     parts = [f"trials={trials}"]
     for key in ("seed", "mode", "initial"):
@@ -217,16 +214,13 @@ def parse_histogram_csv(text: str) -> PhotonHistogram:
         raise ConfigError("histogram CSV is missing the n,count header")
     if not rows:
         raise ConfigError("histogram CSV has no data rows")
-    trials = meta.pop("trials", None)
     if max(rows) > MAX_BINS:
         raise DomainError(f"histogram CSV row needs counts up to {max(rows)}, above the cap of {MAX_BINS}")
-    width = max(rows) + 1
-    values = tuple(rows.get(n, 0) for n in range(width))
-    if trials is None:
-        trials = sum(values)
-    return PhotonHistogram(values=values, trials=trials, meta=meta)
+    values = tuple(rows.get(n, 0) for n in range(max(rows) + 1))
+    return PhotonHistogram(values=values, trials=meta.pop("trials", sum(values)), meta=meta)
 
 
 def read_histogram_csv(path) -> PhotonHistogram:
-    with open(path, "r", encoding="utf-8") as fh:
+    """The histogram in the CSV file at path; a file that cannot be read raises OSError."""
+    with open(_instance(path, (str, os.PathLike), "histogram path"), "r", encoding="utf-8") as fh:
         return parse_histogram_csv(fh.read())

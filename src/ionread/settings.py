@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError
+from .errors import DomainError, _count, _instance, _real
 
 
 class McMode(str, Enum):
@@ -38,16 +38,11 @@ class CcdParams:
     gain_dist: str = "exponential"
 
     def __post_init__(self):
-        for name, bound in (("gain_g", "> 0"), ("readout_rms_r", ">= 0"), ("offset", ">= 0"),
-                            ("counts_per_photon", "> 0"), ("psf_sigma", "> 0")):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not (isinstance(v, (int, float)) and 0 <= v < math.inf
-                                           and (v > 0 or bound == ">= 0")):
-                raise DomainError(f"{name} must be finite and {bound}, got {v!r}")
-        k = self.roi_super_pixels
-        if isinstance(k, bool) or not (isinstance(k, int) and k >= 1):
-            raise DomainError(f"roi_super_pixels must be a positive integer, got {k!r}")
-        if self.gain_dist not in ("exponential", "fixed"):
+        for name, ends in (("gain_g", "()"), ("readout_rms_r", "[]"), ("offset", "[]"),
+                           ("counts_per_photon", "()"), ("psf_sigma", "()")):
+            _real(getattr(self, name), name, 0, ends=ends)
+        _count(self.roi_super_pixels, "roi_super_pixels", 1)
+        if not isinstance(self.gain_dist, str) or self.gain_dist not in ("exponential", "fixed"):
             raise DomainError(
                 f"gain_dist must be 'exponential' or 'fixed', got {self.gain_dist!r}"
             )
@@ -55,11 +50,13 @@ class CcdParams:
 
 def snr(lambda0: float, params: CcdParams) -> float:
     """Signal-to-noise of a mean-lambda0 signal read through k super-pixels."""
-    if isinstance(lambda0, bool) or not (isinstance(lambda0, (int, float)) and 0 <= lambda0 < math.inf):
-        raise DomainError(f"lambda0 must be finite and >= 0, got {lambda0!r}")
-    if lambda0 == 0:
+    if _real(lambda0, "lambda0", 0) == 0:
         return 0.0
-    noise_sq = lambda0 + (params.roi_super_pixels * params.readout_rms_r / params.gain_g) ** 2
+    k = _instance(params, CcdParams, "imager settings").roi_super_pixels
+    try:
+        noise_sq = lambda0 + (k * params.readout_rms_r / params.gain_g) ** 2
+    except OverflowError:  # readout noise beyond the float range drowns any signal
+        noise_sq = math.inf
     return lambda0 / math.sqrt(noise_sq)
 
 
@@ -68,14 +65,10 @@ def crosstalk_ratio(wavelength: float, spacing: float) -> float:
     relative to the drive intensity: 3*wavelength^2/(4*pi*spacing^2).
     Both lengths in the same unit, finite and > 0, and the ratio must be
     a finite positive number."""
-    for name, v in (("wavelength", wavelength), ("spacing", spacing)):
-        if isinstance(v, bool) or not (isinstance(v, (int, float)) and 0 < v < math.inf):
-            raise DomainError(f"{name} must be finite and > 0, got {v!r}")
+    _real(wavelength, "wavelength", 0, ends="()")
+    _real(spacing, "spacing", 0, ends="()")
     try:
         ratio = 3.0 * wavelength**2 / (4.0 * math.pi * spacing**2)
     except (OverflowError, ZeroDivisionError):  # a square left the float range
         ratio = math.nan
-    if not 0 < ratio < math.inf:
-        raise DomainError(f"the crosstalk ratio of wavelength {wavelength} and spacing {spacing} "
-                          f"is not a finite positive number")
-    return ratio
+    return _real(ratio, f"the crosstalk ratio of wavelength {wavelength} and spacing {spacing}", 0, ends="()")

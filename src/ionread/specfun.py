@@ -125,7 +125,8 @@ def tail_window(n_min: int, n_max: int, mean_min: float, mean_max: float) -> tup
         base = max(n_max, int(_cutoffs(mean_max)))
         ratio = math.inf if mean_max == 0.0 else math.log(base + 2.0) - math.log(mean_max)
         top = base + max(1, math.ceil(_PAD_LOG / ratio))
-    return lo, top, min(top + 1, int(mean_max) + 2) - lo if lo <= mean_max + 1.0 else 0
+    # mean_max may overflow to inf, at a2*lambda0 beyond the float range
+    return lo, top, min(top + 1, int(min(mean_max, top)) + 2) - lo if lo <= mean_max + 1.0 else 0
 
 
 def log_upper_tails(lp, fwd: int):

@@ -69,6 +69,8 @@ class TestSnr:
             12.0, CcdParams(gain_g=100.0, **base))
 
     def test_domain(self):
+        # readout noise whose square leaves the float range drowns the signal
+        assert snr(1.0, CcdParams(readout_rms_r=1e200)) == 0.0
         with pytest.raises(DomainError):
             snr(-1.0, CcdParams())
         with pytest.raises(DomainError):
@@ -271,6 +273,19 @@ class TestFrameSynthesis:
         per_frame = total / trials
         expect = lam * ccd.counts_per_photon
         assert abs(per_frame - expect) / expect < 0.05
+
+    def test_states_list_equals_string(self):
+        args = (70, POS3, [12.0] * 3, LEAK, 1.0, CcdParams(), 0.0, [213.5] * 3, 4)
+        listed = simulate_register_batch(*args, states=[1, 0, 1])
+        spelled = simulate_register_batch(*args, states="101")
+        assert listed.truth.tolist() == [[1, 0, 1]] * 70
+        assert np.array_equal(listed.roi_sums, spelled.roi_sums)
+
+    @pytest.mark.parametrize("states", [[1, 2, 1], [1, 0, True], [1, 0, 0.5], "1x1", "102"])
+    def test_bad_states_list(self, states):
+        with pytest.raises(DomainError, match="state"):
+            simulate_register_batch(5, POS3, [12.0] * 3, LEAK, 1.0, CcdParams(), 0.0, [0.0] * 3, 1,
+                                    states=states)
 
     def test_bad_states_string(self):
         with pytest.raises(DomainError, match="2 states for 3 ion positions"):

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -394,7 +395,9 @@ class TestMc:
 
 
 class TestFitPipeline:
-    def test_mc_to_fit_roundtrip(self, tmp_path, capsys):
+    @staticmethod
+    def fit_config(tmp_path, capsys, **keys):
+        """A fit config over 20k-trial mc histograms of FIG_CONFIG."""
         dark_csv = tmp_path / "dark.csv"
         bright_csv = tmp_path / "bright.csv"
         base = dict(FIG_CONFIG)
@@ -405,10 +408,13 @@ class TestFitPipeline:
             code, _, _ = run(["mc", "--config", cfg, "--trials", "20000",
                               "--seed", str(seed), "--out", str(path)], capsys)
             assert code == 0
-        fit_cfg = write_config(tmp_path, {
+        return write_config(tmp_path, {
             "dark_csv": str(dark_csv), "bright_csv": str(bright_csv),
-            "species": "cd111", "scheme": "p32", "tau_d_us": 150.0,
+            "species": "cd111", "scheme": "p32", "tau_d_us": 150.0, **keys,
         }, name="fit.json")
+
+    def test_mc_to_fit_roundtrip(self, tmp_path, capsys):
+        fit_cfg = self.fit_config(tmp_path, capsys)
         code, out, _ = run(["fit", "--config", fit_cfg], capsys)
         assert code == 0
         fields = dict(l.split(": ") for l in out.strip().splitlines())
@@ -417,6 +423,18 @@ class TestFitPipeline:
         assert abs(float(fields["s"]) - 0.25) / 0.25 < 0.10
         assert abs(float(fields["p_impure"]) - 1.5e-3) / 1.5e-3 < 0.25
         assert fields["lambda_bg"] == "none"
+
+    def test_fit_writes_model_csv(self, tmp_path, capsys):
+        # frozen digests of both outputs, recorded before the model writer changes
+        fit_cfg = self.fit_config(tmp_path, capsys, model_csv=str(tmp_path / "model.csv"))
+        code, out, err = run(["fit", "--config", fit_cfg, "--out", str(tmp_path / "fit.txt")], capsys)
+        assert (code, out, err) == (0, "", "")
+        model = (tmp_path / "model.csv").read_bytes()
+        assert model.startswith(b"n,dark_count,dark_model,bright_count,bright_model\n0,19866,")
+        assert hashlib.sha256(model).hexdigest() == \
+            "3c807a5a71185668e72ffa09648042d81d3e74b763fe2f786a5df9377316c608"
+        assert hashlib.sha256((tmp_path / "fit.txt").read_bytes()).hexdigest() == \
+            "083c28790572a0700c364fa4f3fbe5350b1dc7e1ce597857a01e9ddb18b8c89b"
 
 
 class TestCcdSim:
@@ -511,6 +529,18 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "species" in err and "nuclear spin" in err
+
+    @pytest.mark.parametrize("key, value", [("omega_hfs_ghz", 1e300), ("omega_hfs_ghz", True),
+                                            ("gamma_p32_mhz", math.inf)])
+    def test_inline_species_bad_frequency_exit_2(self, tmp_path, capsys, key, value):
+        # 1e300 GHz overflows to inf in rad/s, and true is no frequency
+        species = {"nuclear_spin": 0.5, "omega_hfs_ghz": 14.5, "gamma_p32_mhz": 60.0,
+                   "omega_hfp32_ghz": 0.8, "wavelength_p32_nm": 214.5, key: value}
+        cfg = write_config(tmp_path, {**FIG_CONFIG, "species": species})
+        code, out, err = run(["params", "--config", cfg], capsys)
+        assert code == 2
+        assert out == ""
+        assert key in err
 
     def test_missing_required_key_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"species": "cd111", "scheme": "p32",

@@ -236,6 +236,12 @@ class TestCountDistributions:
         assert p_dark(0, params, 1.0) == 1.0
         assert p_dark(3, params, 1.0) == 0.0
 
+    def test_bright_leak_beyond_float_range(self):
+        # a2*lambda0 overflows to inf: the bright ion goes dark at once
+        dark, bright = pmf_arrays(LeakParams(12.0, 0.0, 1e308), 1.0)
+        assert dark[0] == bright[0] == 1.0
+        assert math.fsum(bright) == pytest.approx(1.0, abs=1e-12)
+
     def test_dark_zero_bin_value(self):
         params = LeakParams(12.0, 0.05, 0.0)
         p0 = p_dark(0, params, 1.0)
@@ -305,7 +311,7 @@ class TestCountDistributions:
     ])
     def test_deep_tail_bins_match_mpmath(self, n, lambda0, a1, a2):
         # 40-digit closed forms; gammainc(n+1, 0, x) is P(n+1, x)
-        mpmath = pytest.importorskip("mpmath")
+        import mpmath  # a declared test dependency: a missing install fails here, not skips
         with mpmath.workdps(40):
             lam, a, b = mpmath.mpf(lambda0), mpmath.mpf(a1), mpmath.mpf(a2)
             dark = (mpmath.exp(-a * lam) * a / (1 - a) ** (n + 1)

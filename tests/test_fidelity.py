@@ -235,6 +235,11 @@ class TestOptimizeAt:
         assert (res.d, res.lambda0_opt) == (ref.d, ref.lambda0_opt)
         assert res.fidelity == pytest.approx(ref.fidelity, rel=0, abs=1e-14)
 
+    @pytest.mark.parametrize("points", [2, 0, 2.5, True])
+    def test_grid_needs_three_points(self, points):
+        with pytest.raises(DomainError, match="grid_points"):
+            optimize_at(2e-5, 3e-6, 0.01, grid_points=points)
+
     @pytest.mark.parametrize("alpha1,eta", [(1.0655868719708028e-6, 1e-3), (2e-5, 0.01), (0.02, 1.0), (1e-9, 1.0)])
     def test_grid_cutoffs_match_scalar_helper(self, alpha1, eta):
         hi = 3.0 * math.log(1.0 / (alpha1 / eta))

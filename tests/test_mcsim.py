@@ -172,6 +172,13 @@ class TestCsv:
         assert back.values == hist.values
         assert back.trials == hist.trials
 
+    def test_no_metadata_line_takes_trials_from_the_column_sum(self, tmp_path):
+        path = tmp_path / "hist.csv"
+        path.write_text("n,count\n0,60\n2,40\n")
+        back = read_histogram_csv(path)
+        assert back.values == (60.0, 0.0, 40.0)
+        assert back.trials == 100 and back.meta == {}
+
     def test_format_shape(self):
         params = LeakParams(5.0, 0.0, 0.0)
         cfg = McConfig(trials=1000, seed=3, mode=McMode.RATE_EQUATION,
