@@ -34,6 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._text import _CSV_ROWS, _table  # noqa: F401 (_CSV_ROWS: the readouts' chunk size)
 from .detmodel import LeakParams, _leak_fractions, pmf_arrays
 from .errors import ConfigError, DomainError, _count, _instance, _is_integer, _is_real, _real
 from .mcsim import _keyed_rng
@@ -93,9 +94,8 @@ def default_rois(positions, frame_width: int, frame_height: int,
 
 MAX_PIXELS = 2**22  # a 2048 x 2048 frame; the sampler's pixel index is allocated per pixel
 MAX_READOUTS = 2**20  # trials x ions of one register batch, held as columns and as CSV rows
-# Iteration and the readouts CSV turn this many trials, or CSV rows, into Python objects at a time.
+# Iteration turns this many trials into Python objects at a time.
 _ITER_TRIALS = 1024
-_CSV_ROWS = 4096
 
 
 def _positions(positions) -> list:
@@ -356,25 +356,12 @@ class CorrelationReport:
         return len(self.marginals)
 
     def format_csv(self) -> str:
-        lines = ["i,j,p_i,p_i_given_j,deviation,stderr,n_cond,defined"]
-        for i in range(self.n_ions):
-            for j in range(self.n_ions):
-                if i == j:
-                    continue
-                lines.append(
-                    "%d,%d,%.9g,%.9g,%.9g,%.9g,%d,%d"
-                    % (
-                        i,
-                        j,
-                        self.marginals[i],
-                        self.cond_probs[i][j],
-                        self.deviation[i][j],
-                        self.stderr[i][j],
-                        self.cond_counts[j],
-                        1 if self.defined[i][j] else 0,
-                    )
-                )
-        return "\n".join(lines) + "\n"
+        """One row per ordered pair of distinct ions, i-major."""
+        i, j = np.nonzero(~np.eye(self.n_ions, dtype=bool))
+        pairs = [np.asarray(m, np.float64)[i, j] for m in (self.cond_probs, self.deviation, self.stderr)]
+        return "".join(_table("i,j,p_i,p_i_given_j,deviation,stderr,n_cond,defined", [
+            i, j, np.asarray(self.marginals, np.float64)[i], *pairs,
+            np.asarray(self.cond_counts, np.int64)[j], np.asarray(self.defined, bool)[i, j]]))
 
 
 def conditional_correlations(batch: RegisterBatch) -> CorrelationReport:
@@ -410,26 +397,21 @@ def conditional_correlations(batch: RegisterBatch) -> CorrelationReport:
 
 
 def _prints_as_int(sums) -> bool:
-    """Whether every sum prints the same under %d as under %.9g."""
+    """Whether every sum prints the same as an integer as it does as a float."""
     if not np.all(np.abs(sums) < 1e9):
         return False
     whole = sums.astype(np.int64)
-    # integral sums below 1e9 print the same under %d, except a -0.0 ("-0")
+    # integral sums below 1e9 print the same as integers, except a -0.0 ("-0")
     return np.array_equal(whole, sums) and not np.signbit(sums[whole == 0]).any()
 
 
 def _readout_chunks(batch: RegisterBatch):
     """The readouts CSV as its header, then chunks of _CSV_ROWS rows."""
-    n_ions = batch.roi_sums.shape[1]
-    sums, bits = batch.roi_sums.ravel(), batch.bits.ravel()
-    dtype, row = (np.int64, "%d,%d,%d,%d\n") if _prints_as_int(sums) else (np.float64, "%d,%d,%.9g,%d\n")
-    yield "trial,ion,roi_sum,bit\n"
-    for start in range(0, len(sums), _CSV_ROWS):
-        stop = min(start + _CSV_ROWS, len(sums))
-        table = np.empty((stop - start, 4), dtype)
-        table[:, 0], table[:, 1] = np.divmod(np.arange(start, stop), n_ions)
-        table[:, 2], table[:, 3] = sums[start:stop], bits[start:stop]
-        yield row * (stop - start) % tuple(table.ravel().tolist())
+    sums = batch.roi_sums.astype(np.int64) if _prints_as_int(batch.roi_sums) else batch.roi_sums
+    # the trial and ion columns as broadcast views, which allocate no (trials, ions) array
+    trial = np.broadcast_to(np.arange(sums.shape[0])[:, None], sums.shape)
+    ion = np.broadcast_to(np.arange(sums.shape[1]), sums.shape)
+    return _table("trial,ion,roi_sum,bit", [trial, ion, sums, batch.bits])
 
 
 def format_readouts_csv(batch: RegisterBatch) -> str:

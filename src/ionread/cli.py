@@ -24,6 +24,7 @@ import sys
 import tempfile
 from typing import Callable, NamedTuple
 
+from ._text import _record, _table
 from .angular import Scheme
 from .detmodel import (
     MAX_BINS,
@@ -39,28 +40,23 @@ from .detmodel import (
 from .errors import ConfigError, DomainError, IonReadError, _is_integer, _is_real
 from .settings import CcdParams, InitialState, McMode, crosstalk_ratio
 
-_F = "%.9g"
 
-
-def _atomic_write(path, text) -> None:
-    """Write text, a str or an iterable of str chunks, to path; the file appears only if every chunk arrives."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ionread-", suffix=".tmp")
+def _emit(text, out_path) -> None:
+    """Write text, a str or an iterable of str chunks, to stdout or to the file out_path,
+    which appears only if every chunk arrives."""
+    chunks = [text] if isinstance(text, str) else text
+    if not out_path:
+        sys.stdout.writelines(chunks)
+        return
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(out_path)), prefix=".ionread-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.writelines([text] if isinstance(text, str) else text)
-        os.replace(tmp, path)
+            fh.writelines(chunks)
+        os.replace(tmp, out_path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _emit(text: str, out_path) -> None:
-    if out_path:
-        _atomic_write(out_path, text)
-    else:
-        sys.stdout.write(text)
 
 
 def _load_config(path) -> dict:
@@ -202,41 +198,24 @@ def _leak(cfg: dict) -> LeakParams:
 def _cmd_params(args, cfg) -> int:
     leak, eta = _leak(cfg), cfg["eta"]
     _leak_fractions(leak, eta)  # the model's domain, as dist and mc apply it
-    lines = [
-        "lambda0: " + _F % leak.lambda0,
-        "alpha1: " + _F % leak.alpha1,
-        "alpha2: " + _F % leak.alpha2,
-        "eta: " + _F % eta,
-    ]
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(_record(dict(lambda0=leak.lambda0, alpha1=leak.alpha1, alpha2=leak.alpha2, eta=eta)), args.out)
     return 0
 
 
 def _cmd_dist(args, cfg) -> int:
+    import numpy as np
+
     dark, bright = pmf_arrays(_leak(cfg), cfg["eta"], cfg.get("n_max"))
-    lines = ["n,p_dark,p_bright"]
-    for n, (pd, pb) in enumerate(zip(dark, bright)):
-        lines.append(("%d," + _F + "," + _F) % (n, pd, pb))
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(_table("n,p_dark,p_bright", [np.arange(len(dark)), dark, bright]), args.out)
     return 0
-
-
-def _format_discrimination(res) -> str:
-    lines = [
-        "d: %d" % res.d,
-        "lambda0_opt: " + _F % res.lambda0_opt,
-        "fidelity: " + _F % res.fidelity,
-        "dark_fidelity: " + _F % res.dark_fidelity,
-        "bright_fidelity: " + _F % res.bright_fidelity,
-    ]
-    return "\n".join(lines) + "\n"
 
 
 def _cmd_optimize(args, cfg) -> int:
     from .fidelity import optimize_detection
 
     res = optimize_detection(cfg["species"], cfg["scheme"], cfg["eta"])
-    _emit(_format_discrimination(res), args.out)
+    _emit(_record(dict(d=res.d, lambda0_opt=res.lambda0_opt, fidelity=res.fidelity,
+                       dark_fidelity=res.dark_fidelity, bright_fidelity=res.bright_fidelity)), args.out)
     return 0
 
 
@@ -248,22 +227,16 @@ def _cmd_curve(args, cfg) -> int:
     return 0
 
 
-_TABLE1_CASES = [("cd111", 0.001), ("cd111", 0.01), ("cd111", 0.3),
-                 ("yb171", 0.001), ("yb171", 0.01), ("yb171", 0.3),
-                 ("hg199", 0.001), ("hg199", 0.01), ("hg199", 0.3)]
+_TABLE1_CASES = [(name, eta) for name in ("cd111", "yb171", "hg199") for eta in (0.001, 0.01, 0.3)]
 
 
 def _cmd_table1(args, cfg) -> int:
     from .fidelity import optimize_detection
 
-    lines = ["species,eta,fidelity_percent,lambda0_opt,d_opt"]
-    for name, eta in _TABLE1_CASES:
-        res = optimize_detection(get_species(name), Scheme.P12, eta)
-        lines.append(
-            ("%s," + _F + "," + _F + "," + _F + ",%d")
-            % (name, eta, 100.0 * res.fidelity, res.lambda0_opt, res.d)
-        )
-    _emit("\n".join(lines) + "\n", args.out)
+    results = [optimize_detection(get_species(name), Scheme.P12, eta) for name, eta in _TABLE1_CASES]
+    _emit(_table("species,eta,fidelity_percent,lambda0_opt,d_opt", [
+        *zip(*_TABLE1_CASES), [100.0 * r.fidelity for r in results], [r.lambda0_opt for r in results],
+        [r.d for r in results]]), args.out)
     return 0
 
 
@@ -286,7 +259,7 @@ def _cmd_fit(args, cfg) -> int:
     result = fit_histograms(dark, bright, species, tau_d, fit_background=cfg["fit_background"], scheme=scheme)
     # the model file first: it can still fail, and a printed result cannot be taken back
     if cfg.get("model_csv"):
-        _atomic_write(cfg["model_csv"], format_model_csv(result, dark, bright, species, tau_d, scheme))
+        _emit(format_model_csv(result, dark, bright, species, tau_d, scheme), cfg["model_csv"])
     _emit(format_fit_result(result), args.out)
     return 0
 
@@ -307,14 +280,14 @@ def _cmd_ccd_sim(args, cfg) -> int:
     )
     # built before the first write, so a register it rejects leaves no file
     report = conditional_correlations(batch)
-    _atomic_write(readouts_out, _readout_chunks(batch))
+    _emit(_readout_chunks(batch), readouts_out)
     _emit(report.format_csv(), cfg.get("report_out"))
     return 0
 
 
 def _cmd_crosstalk(args, cfg) -> int:
     ratio = crosstalk_ratio(cfg["wavelength_nm"], cfg["spacing_um"])
-    _emit(("crosstalk_ratio: " + _F + "\n") % ratio, args.out)
+    _emit(_record(dict(crosstalk_ratio=ratio)), args.out)
     return 0
 
 

@@ -24,6 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._text import _table
 from .detmodel import (
     DetectionConfig,
     IonSpecies,
@@ -33,9 +34,11 @@ from .detmodel import (
     detection_params,
     pmf_arrays,
 )
-from .errors import DomainError, _count, _instance, _real
+from .errors import DomainError, _instance, _real
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_GRID_POINTS = 200  # light levels of optimize_at's coarse grid
+_REL_TOL = 1e-4  # the relative width of its golden-section bracket at the end
 
 
 @dataclass(frozen=True)
@@ -100,31 +103,15 @@ def _lambda0_bound(alpha1: float, eta: float) -> float:
     return 3.0 * math.log(1.0 / a1)
 
 
-def optimize_at(
-    alpha1: float,
-    alpha2: float,
-    eta: float,
-    *,
-    grid_points: int = 200,
-    rel_tol: float = 1e-4,
-) -> DiscriminationResult:
-    """Best fidelity over lambda0 in (0, 3*ln(eta/alpha1)] at fixed leaks.
-
-    Coarse grid to localize the peak, golden-section refinement of
-    lambda0 to the requested relative width, threshold re-optimized at
-    every light level evaluated. Deterministic.
-    """
-    _count(grid_points, "grid_points", 3)
+def _grid_optimum(alpha1: float, alpha2: float, eta: float, points: int):
+    """The best of points light levels spaced evenly over (0, 3*ln(eta/alpha1)],
+    each at its best threshold, and the bracket (a, b) of its grid neighbours."""
     hi = _lambda0_bound(alpha1, eta)
     LeakParams(hi, alpha1, alpha2)  # validates the leak ratios
-
-    def eval_at(lam0: float) -> DiscriminationResult:
-        return best_threshold(LeakParams(lam0, alpha1, alpha2), eta)
-
     # the whole grid as one 2-D evaluation, each row scanned only up to
     # its own histogram_cutoff, as best_threshold would scan it
-    step = hi / grid_points
-    grid = step * np.arange(1, grid_points + 1)
+    step = hi / points
+    grid = step * np.arange(1, points + 1)
     cutoffs = _cutoffs(grid).astype(np.int64)
     counts = np.arange(cutoffs.max() + 1)
     dark_cum, bright_cum = _cdf_pair(
@@ -135,14 +122,28 @@ def optimize_at(
     k = int(np.argmax(fid.max(axis=1)))
     row = slice(0, cutoffs[k] + 1)
     best = _first_best(dark_cum[k, row], bright_cum[k, row], grid[k])
-
     a = float(grid[k - 1]) if k > 0 else step * 0.5
-    b = float(grid[k + 1]) if k + 1 < grid_points else hi
+    b = float(grid[k + 1]) if k + 1 < points else hi
+    return best, a, b
+
+
+def optimize_at(alpha1: float, alpha2: float, eta: float) -> DiscriminationResult:
+    """Best fidelity over lambda0 in (0, 3*ln(eta/alpha1)] at fixed leaks.
+
+    A grid of _GRID_POINTS levels localizes the peak; golden-section
+    refinement narrows lambda0 to a relative width of _REL_TOL, with the
+    threshold re-optimized at every light level evaluated. Deterministic.
+    """
+    best, a, b = _grid_optimum(alpha1, alpha2, eta, _GRID_POINTS)
+
+    def eval_at(lam0: float) -> DiscriminationResult:
+        return best_threshold(LeakParams(lam0, alpha1, alpha2), eta)
+
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1 = eval_at(x1)
     f2 = eval_at(x2)
-    while (b - a) > rel_tol * max(1.0, best.lambda0_opt):
+    while (b - a) > _REL_TOL * max(1.0, best.lambda0_opt):
         if f1.fidelity >= f2.fidelity:
             b, x2, f2 = x2, x1, f1
             x1 = b - _GOLDEN * (b - a)
@@ -225,16 +226,8 @@ def fidelity_curve(species: IonSpecies, scheme, eta_grid) -> list[dict]:
 
 def format_curve_csv(rows) -> str:
     """CSV table with the documented fixed header."""
-    lines = ["eta,infidelity_numeric,infidelity_approx,lambda0_opt,d_opt"]
-    for row in _instance(rows, list, "curve rows"):
-        lines.append(
-            "%.9g,%.9g,%.9g,%.9g,%d"
-            % (
-                row["eta"],
-                row["infidelity_numeric"],
-                row["infidelity_approx"],
-                row["lambda0_opt"],
-                row["d_opt"],
-            )
-        )
-    return "\n".join(lines) + "\n"
+    rows = _instance(rows, list, "curve rows")
+    floats = [np.array([row[key] for row in rows], np.float64)
+              for key in ("eta", "infidelity_numeric", "infidelity_approx", "lambda0_opt")]
+    d_opt = np.array([row["d_opt"] for row in rows], np.int64)
+    return "".join(_table("eta,infidelity_numeric,infidelity_approx,lambda0_opt,d_opt", [*floats, d_opt]))

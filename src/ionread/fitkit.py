@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._text import _record, _table
 from .angular import Scheme, branching_ratios
 from .detmodel import (
     MAX_BINS,
@@ -383,16 +384,9 @@ def fit_histograms(
 def format_fit_result(result: FitResult) -> str:
     """Structured key: value text block."""
     _instance(result, FitResult, "fit result")
-    lines = [
-        "eta: %.9g" % result.eta,
-        "s: %.9g" % result.s,
-        "p_impure: %.9g" % result.p_impure,
-        "lambda_bg: %s" % ("none" if result.lambda_bg is None else "%.9g" % result.lambda_bg),
-        "neg_log_likelihood: %.9g" % result.neg_log_likelihood,
-        "converged: %s" % ("true" if result.converged else "false"),
-        "iterations: %d" % result.iterations,
-    ]
-    return "\n".join(lines) + "\n"
+    return _record(dict(eta=result.eta, s=result.s, p_impure=result.p_impure, lambda_bg=result.lambda_bg,
+                        neg_log_likelihood=result.neg_log_likelihood, converged=result.converged,
+                        iterations=result.iterations))
 
 
 def format_model_csv(
@@ -414,5 +408,4 @@ def format_model_csv(
     columns = [np.arange(bins)]
     for counts, model in zip(hists, models):
         columns += [np.pad(counts, (0, bins - len(counts))), model[:bins] * counts.sum()]
-    rows = map("%d,%.9g,%.9g,%.9g,%.9g".__mod__, zip(*(c.tolist() for c in columns)))
-    return "\n".join(["n,dark_count,dark_model,bright_count,bright_model", *rows]) + "\n"
+    return "".join(_table("n,dark_count,dark_model,bright_count,bright_model", columns))

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._text import _table
 from .detmodel import MAX_BINS, LeakParams, PhotonHistogram, _leak_fractions, histogram_cutoff
 from .errors import ConfigError, DomainError, _count, _enum, _instance, _real
 from .settings import InitialState, McMode
@@ -162,18 +163,17 @@ def simulate_histogram(params: LeakParams, eta: float, config: McConfig) -> Phot
 
 
 def format_histogram_csv(hist: PhotonHistogram) -> str:
-    """CSV with a comment metadata line, then n,count rows (occupied bins)."""
-    meta = _instance(hist, PhotonHistogram, "histogram").meta
+    """CSV with a comment metadata line, then n,count rows of the occupied bins, which must hold integers."""
+    values = np.asarray(_instance(hist, PhotonHistogram, "histogram").values)
+    fractional = np.flatnonzero(values != np.floor(values))
+    if fractional.size:
+        n = int(fractional[0])
+        raise DomainError(f"a histogram CSV holds integer counts, but bin {n} holds {hist.values[n]!r}")
     trials = hist.trials if hist.trials is not None else int(round(hist.total))
-    parts = [f"trials={trials}"]
-    for key in ("seed", "mode", "initial"):
-        if key in meta:
-            parts.append(f"{key}={meta[key]}")
-    lines = ["# " + " ".join(parts), "n,count"]
-    for n, v in enumerate(hist.values):
-        if v > 0:
-            lines.append(f"{n},{int(v)}")
-    return "\n".join(lines) + "\n"
+    meta = " ".join([f"trials={trials}", *(f"{key}={hist.meta[key]}" for key in ("seed", "mode", "initial")
+                                           if key in hist.meta)])
+    occupied = np.flatnonzero(values > 0)
+    return f"# {meta}\n" + "".join(_table("n,count", [occupied, values[occupied].astype(np.int64)]))
 
 
 def parse_histogram_csv(text: str) -> PhotonHistogram:

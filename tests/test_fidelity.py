@@ -11,6 +11,7 @@ from ionread.errors import DomainError
 from ionread.fidelity import (
     DiscriminationResult,
     _cdf_pair,
+    _grid_optimum,
     approx_fidelity,
     best_threshold,
     fidelity_curve,
@@ -222,10 +223,10 @@ class TestOptimizeAt:
         [(1.0655868719708028e-6, 0.0, 1e-3), (2e-5, 3e-6, 0.01), (0.02, 0.05, 1.0)],
     )
     def test_grid_matches_per_level_scans(self, alpha1, alpha2, eta):
-        # a rel_tol this wide skips the golden section, leaving the grid
-        # optimum; each grid row must scan exactly as best_threshold does
+        # the grid step alone, before the golden section; each grid row
+        # must scan exactly as best_threshold does
         points = 40
-        res = optimize_at(alpha1, alpha2, eta, grid_points=points, rel_tol=1e9)
+        res, _, _ = _grid_optimum(alpha1, alpha2, eta, points)
         hi = 3.0 * math.log(1.0 / (alpha1 / eta))  # as optimize_at bounds it
         scans = [
             best_threshold(LeakParams(hi / points * (i + 1), alpha1, alpha2), eta)
@@ -234,11 +235,6 @@ class TestOptimizeAt:
         ref = max(scans, key=lambda r: r.fidelity)
         assert (res.d, res.lambda0_opt) == (ref.d, ref.lambda0_opt)
         assert res.fidelity == pytest.approx(ref.fidelity, rel=0, abs=1e-14)
-
-    @pytest.mark.parametrize("points", [2, 0, 2.5, True])
-    def test_grid_needs_three_points(self, points):
-        with pytest.raises(DomainError, match="grid_points"):
-            optimize_at(2e-5, 3e-6, 0.01, grid_points=points)
 
     @pytest.mark.parametrize("alpha1,eta", [(1.0655868719708028e-6, 1e-3), (2e-5, 0.01), (0.02, 1.0), (1e-9, 1.0)])
     def test_grid_cutoffs_match_scalar_helper(self, alpha1, eta):

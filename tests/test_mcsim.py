@@ -5,6 +5,7 @@ import pytest
 
 from ionread.detmodel import (
     LeakParams,
+    PhotonHistogram,
     histogram_cutoff,
     p_dark,
     pmf_arrays,
@@ -171,6 +172,28 @@ class TestCsv:
         back = read_histogram_csv(path)
         assert back.values == hist.values
         assert back.trials == hist.trials
+
+    @pytest.mark.parametrize("hist", [
+        PhotonHistogram(values=(3, 0, 5), trials=8),
+        PhotonHistogram(values=(0, 7), trials=7, meta={"seed": 4, "mode": "photon_level", "initial": "dark"}),
+        PhotonHistogram(values=(2**52, 0, 0, 1), trials=2**52 + 1),
+    ])
+    def test_integer_histograms_roundtrip(self, hist):
+        assert parse_histogram_csv(format_histogram_csv(hist)) == hist
+
+    @pytest.mark.parametrize("values, trials, message", [
+        ((0.25, 0.5, 0.25), None, "bin 0 holds 0.25"),
+        ((2.7, 3.9), 7, "bin 0 holds 2.7"),
+        ((3.0, 0.5, 1.5), 5, "bin 1 holds 0.5"),
+    ])
+    def test_fractional_bins_are_refused(self, values, trials, message):
+        # the format holds integer counts; truncating them wrote a file that reads back wrong, or not at all
+        with pytest.raises(DomainError, match=message):
+            format_histogram_csv(PhotonHistogram(values=values, trials=trials))
+
+    def test_blank_lines_and_bare_metadata_tokens_are_skipped(self):
+        text = "# note trials=5\n\nn,count\n0,2\n\n2,3\n"
+        assert parse_histogram_csv(text) == PhotonHistogram(values=(2, 0, 3), trials=5)
 
     def test_no_metadata_line_takes_trials_from_the_column_sum(self, tmp_path):
         path = tmp_path / "hist.csv"
