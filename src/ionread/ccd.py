@@ -157,7 +157,6 @@ def _count_cdfs(per_ion_lambda0: tuple, alpha1: float, alpha2: float, eta: float
     cdfs = []
     for lam0 in per_ion_lambda0:
         for pmf in pmf_arrays(LeakParams(lam0, alpha1, alpha2), eta):
-            pmf[-1] += max(0.0, 1.0 - math.fsum(pmf))  # the last bin absorbs the truncated tail
             cdf = np.cumsum(pmf)
             cdfs.append(cdf / cdf[-1] + len(cdfs))
     return np.concatenate(cdfs), np.cumsum([0] + [len(cdf) for cdf in cdfs])
@@ -396,18 +395,18 @@ def conditional_correlations(batch: RegisterBatch) -> CorrelationReport:
     )
 
 
-def _prints_as_int(sums) -> bool:
-    """Whether every sum prints the same as an integer as it does as a float."""
+def _as_printed(sums):
+    """The sums as int64 if every one prints the same as an integer as it does as a float, else as given."""
     if not np.all(np.abs(sums) < 1e9):
-        return False
+        return sums
     whole = sums.astype(np.int64)
     # integral sums below 1e9 print the same as integers, except a -0.0 ("-0")
-    return np.array_equal(whole, sums) and not np.signbit(sums[whole == 0]).any()
+    return whole if np.array_equal(whole, sums) and not np.signbit(sums[whole == 0]).any() else sums
 
 
 def _readout_chunks(batch: RegisterBatch):
     """The readouts CSV as its header, then chunks of _CSV_ROWS rows."""
-    sums = batch.roi_sums.astype(np.int64) if _prints_as_int(batch.roi_sums) else batch.roi_sums
+    sums = _as_printed(batch.roi_sums)
     # the trial and ion columns as broadcast views, which allocate no (trials, ions) array
     trial = np.broadcast_to(np.arange(sums.shape[0])[:, None], sums.shape)
     ion = np.broadcast_to(np.arange(sums.shape[1]), sums.shape)

@@ -349,12 +349,11 @@ def _leak_fractions(params: LeakParams, eta: float) -> tuple[float, float]:
 def count_pmfs(n, lambda0, a1: float, a2: float):
     """Dark and bright pmfs at the counts n: the kernel behind every pmf.
 
-    n is an integer count or a 1-D array of consecutive counts, and
-    lambda0 broadcasts against it, so a column of light levels gives one
-    row per level. a1 and a2 are the leak fractions per detected photon
-    (alpha/eta), 0 <= a1 < 1 and a2 >= 0; nothing is validated here.
-    With c = a1 for the dark and c = -a2 for the bright leak term, each
-    term is combined in log space,
+    n is a 1-D array of consecutive counts, and lambda0 broadcasts against
+    it, so a column of light levels gives one row per level. a1 and a2 are
+    the leak fractions per detected photon (alpha/eta), 0 <= a1 < 1 and
+    a2 >= 0; nothing is validated here. With c = a1 for the dark and
+    c = -a2 for the bright leak term, each term is combined in log space,
 
         exp((log P(n+1, (1-c)*lambda0) + log|c| [- a1*lambda0]) - (n+1)*log(1-c)),
 
@@ -363,57 +362,83 @@ def count_pmfs(n, lambda0, a1: float, a2: float):
     (1-c)*lambda0 by k*log(1-c) + c*lambda0, through
     ``specfun.log_upper_tails``.
     """
+    return _pmf_table(n, lambda0, a1, a2)[:2]
+
+
+def _pmf_table(n, lambda0, a1: float, a2: float):
+    """count_pmfs, and the table's row log pois(n; lambda0) that it reads them from."""
     import numpy as np
 
-    from .specfun import log_poisson, log_upper_tails, poisson_table, tail_window
+    from .specfun import log_poisson, log_upper_tails, tail_window
 
     n = np.asarray(n, dtype=np.float64)
     lam0 = np.asarray(lambda0, dtype=np.float64)
-    if a1 == 0.0 and a2 == 0.0:
-        return np.where(n == 0, np.exp(-a1 * lam0), 0.0), np.exp(log_poisson(n, lam0))
-    if lam0.ndim == 0:
+    if lam0.ndim == 0:  # a float, whose products overflow to inf without a warning
         lam0 = lam_min = lam_max = float(lam0)
     else:
         lam_min, lam_max = float(lam0.min()), float(lam0.max())
-    n_min, n_max = (int(n[0]), int(n[-1])) if n.ndim else (int(n), int(n))
+    if a1 == 0.0 and a2 == 0.0:
+        log_pois = log_poisson(n, lam0)
+        return np.where(n == 0, np.exp(-a1 * lam0), 0.0), np.exp(log_pois), log_pois
+    n_min, n_max = int(n[0]), int(n[-1])
     lo, top, fwd = tail_window(n_min, n_max, (1.0 - a1 if a1 > 0.0 else 1.0 + a2) * lam_min,
                                (1.0 + a2 if a2 > 0.0 else 1.0 - a1) * lam_max)
-    k, lp = poisson_table(lo, top, lam0)
-    pick = slice(n_min - lo, n_max + 1 - lo)
-    bright = np.exp(lp[..., pick] - a2 * lam0)
-    # one table row per leak term, c = a1 or -a2: log pois(k; (1 - c)*lambda0) is
-    # log pois(k; lambda0) + k*log(1 - c) + c*lambda0; the row constants are
-    # log(1 - c), c*lambda0 and log|c| [- a1*lambda0]
-    terms = [(math.log1p(-c), c * lam0, math.log(abs(c)) - max(c, 0.0) * lam0)
-             for c in (a1, -a2) if c != 0.0]
-    if lp.ndim == 1:
-        log_1mc, rate, log_c = np.array(terms).T[:, :, None]
-    else:  # a column of light levels: rate and log_c are columns too
-        log_1mc, rate, log_c = (np.array(v) for v in zip(*terms))
-        log_1mc = log_1mc[:, None, None]
-    log_p = log_upper_tails(lp + (k * log_1mc + rate), fwd)[..., pick]
+    k = np.arange(lo, top + 1.0)
+    lp = log_poisson(k, lam0)
+    log_pois = lp[..., n_min - lo : n_max + 1 - lo]
+    bright = np.exp(log_pois - a2 * lam0)
+    # one table per leak term, c = a1 or -a2: log pois(k; (1 - c)*lambda0) is
+    # log pois(k; lambda0) + k*log(1 - c) + c*lambda0; log(1 - c) is one constant
+    # per term, c*lambda0 and log|c| [- a1*lambda0] one per term and light level
+    cs = [c for c in (a1, -a2) if c != 0.0]
+    rows = (-1, *lp.shape[:-1], 1)
+    log_1mc = np.array([math.log1p(-c) for c in cs]).reshape((-1,) + (1,) * lp.ndim)
+    rate = np.array([c * lam0 for c in cs]).reshape(rows)
+    log_c = np.array([math.log(abs(c)) - max(c, 0.0) * lam0 for c in cs]).reshape(rows)
+    log_p = log_upper_tails(lp + (k * log_1mc + rate), fwd)[..., n_min - lo : n_max + 1 - lo]
     leak = np.exp((log_p + log_c) - (n + 1.0) * log_1mc)
     dark = leak[0] if a1 > 0.0 else np.zeros_like(bright)
     if n_min == 0:  # no leak: the point mass at n = 0
-        if lp.ndim == 1:
-            dark[0] += np.exp(-a1 * lam0)
-        else:
-            dark[:, :1] += np.exp(-a1 * lam0)
+        dark[..., :1] += np.exp(-a1 * lam0)
     if a2 > 0.0:
         bright += leak[-1]
-    return (dark, bright) if n.ndim else (dark[..., 0], bright[..., 0])
+    return dark, bright, log_pois
+
+
+def _pmf_jacobians(n, lambda0: float, a1: float, a2: float):
+    """count_pmfs at one light level on float counts n, and its derivatives in log(lambda0, a1, a2):
+    (dark, bright, d_dark, d_bright), each derivative a (3, bins) array.
+
+    The leak terms are what the kernel adds to the unleaked parts
+    exp(-a1 lambda0) delta_n0 and exp(-a2 lambda0) pois(n; lambda0); each
+    derivative of P(n+1, x) reduces to a multiple of pois(n; lambda0).
+    """
+    import numpy as np
+
+    dark, bright, log_pois = _pmf_table(n, lambda0, a1, a2)
+    pois = np.exp(log_pois)
+    stay_dark = np.where(n == 0, math.exp(-a1 * lambda0), 0.0)
+    stay_bright = np.exp(log_pois - a2 * lambda0)
+    zero = np.zeros_like(pois)
+    d_dark = np.array([a1 * lambda0 * (pois - dark),
+                       (dark - stay_dark) * (1.0 + a1 * (n + 1.0) / (1.0 - a1) - a1 * lambda0)
+                       - a1 * lambda0 * (stay_dark + a1 / (1.0 - a1) * pois), zero])
+    d_bright = np.array([stay_bright * (n - lambda0), zero,
+                         (bright - stay_bright) * (1.0 - a2 * (n + 1.0) / (1.0 + a2))
+                         - a2 * lambda0 / (1.0 + a2) * stay_bright])
+    return dark, bright, d_dark, d_bright
 
 
 def p_dark(n, params: LeakParams, eta: float) -> float:
     """Probability a dark ion yields exactly n detected photons."""
     a1, a2 = _leak_fractions(params, eta)
-    return float(count_pmfs(_count(n, "n", 0, MAX_BINS + 1), params.lambda0, a1, a2)[0])
+    return float(count_pmfs([_count(n, "n", 0, MAX_BINS + 1)], params.lambda0, a1, a2)[0][0])
 
 
 def p_bright(n, params: LeakParams, eta: float) -> float:
     """Probability a bright ion yields exactly n detected photons."""
     a1, a2 = _leak_fractions(params, eta)
-    return float(count_pmfs(_count(n, "n", 0, MAX_BINS + 1), params.lambda0, a1, a2)[1])
+    return float(count_pmfs([_count(n, "n", 0, MAX_BINS + 1)], params.lambda0, a1, a2)[1][0])
 
 
 # Cap on the top count n_max of any count table or histogram: 8 MiB per pmf, and

@@ -18,9 +18,10 @@ onto that bound, the Fisher system is solved on the others, and the
 trial point is clipped into the box and backtracked until the NLL falls. Each point is
 scored through ``detection_params``. The pmfs depend on it only through
 lambda0, a1 = alpha1/eta and a2 = alpha2/eta, so the gradient and the
-expected Fisher matrix are taken in log(lambda0, a1, a2) in closed form,
-since dP(n+1, x)/dx = pois(n; x) for integer n, and chained to x through
-the closed-form Jacobian of that map at zero detuning.
+expected Fisher matrix are taken in log(lambda0, a1, a2), from the
+closed-form pmf derivatives that the ``detmodel`` kernel returns with
+the pmfs, and chained to x through the closed-form Jacobian of that map
+at zero detuning.
 
 A parameter the histograms cannot identify is held, and the result is
 flagged non-converged: a dark-only fit holds p_impure at its start, and
@@ -45,13 +46,13 @@ from .detmodel import (
     IonSpecies,
     PhotonHistogram,
     _leak_fractions,
+    _pmf_jacobians,
     _scheme_constants,
     count_pmfs,
     detection_params,
     histogram_cutoff,
 )
 from .errors import DomainError, _count, _enum, _instance, _real
-from .specfun import log_poisson
 
 _LOG_BOUNDS = {
     "eta": (math.log(1e-9), 0.0),
@@ -118,8 +119,7 @@ def _model(species, scheme, tau_d, eta, s, p_impure, lambda_bg, n_top):
         raise DomainError(f"a model table at lambda0 = {lambda0:.9g} needs counts up to {top}, "
                           f"above the cap of {MAX_BINS}")
     n = np.arange(top + 1.0)
-    dark, bright = count_pmfs(n, lambda0, a1, a2)
-    d_dark, d_bright = _leak_jacobians(n, lambda0, a1, a2, dark, bright)
+    dark, bright, d_dark, d_bright = _pmf_jacobians(n, lambda0, a1, a2)
     if lambda_bg:
         # a bright ion that cannot leak counts Poisson photons
         counts = n[: histogram_cutoff(lambda_bg) + 1]
@@ -214,35 +214,6 @@ class _Problem:
         x = self.x0.copy()
         x[self.free] = u
         return x
-
-
-def _leak_jacobians(n, lambda0, a1, a2, dark, bright):
-    """d(dark)/d and d(bright)/d log(lambda0, a1, a2) as (3, bins) arrays.
-
-    The leak terms are what ``count_pmfs`` adds to the unleaked parts
-    exp(-a1 lambda0) delta_n0 and exp(-a2 lambda0) pois(n; lambda0); each
-    derivative of P(n+1, x) reduces to a multiple of pois(n; lambda0).
-    """
-    log_pois = log_poisson(n, lambda0)
-    pois = np.exp(log_pois)
-    stay_dark = np.where(n == 0, math.exp(-a1 * lambda0), 0.0)
-    stay_bright = np.exp(log_pois - a2 * lambda0)
-    leak_dark = dark - stay_dark
-    leak_bright = bright - stay_bright
-    zero = np.zeros_like(pois)
-    d_dark = np.array([
-        a1 * lambda0 * (pois - dark),
-        leak_dark * (1.0 + a1 * (n + 1.0) / (1.0 - a1) - a1 * lambda0)
-        - a1 * lambda0 * (stay_dark + a1 / (1.0 - a1) * pois),
-        zero,
-    ])
-    d_bright = np.array([
-        stay_bright * (n - lambda0),
-        zero,
-        leak_bright * (1.0 - a2 * (n + 1.0) / (1.0 + a2))
-        - a2 * lambda0 / (1.0 + a2) * stay_bright,
-    ])
-    return d_dark, d_bright
 
 
 def _objective(u, problem: _Problem):

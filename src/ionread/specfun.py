@@ -14,10 +14,11 @@ log-pmf table:
   sum of the pmf scaled by e^700, and a reverse ``np.logaddexp.accumulate``
   of the log-pmf, which cannot underflow, where even that sum would;
 - ``tail_window`` sizes the table, padded past its last needed count
-  until the pmf has fallen by 2^-60 and cut where nothing is needed,
-  and ``poisson_table`` builds it.
+  until the pmf has fallen by 2^-60 and cut where nothing is needed.
 
-``detmodel.count_pmfs`` combines these in log space.
+``detmodel`` alone imports this module: its kernel builds the table with
+``log_poisson`` and combines the tails in log space, for the pmfs and
+their derivatives alike.
 
 Tested range: the kernel's pmfs are finite and sum to 1 within 1e-9 for
 lambda0 up to 1e6 and leak fractions 0 <= a1 < 1, a2 >= 0, and the
@@ -78,30 +79,18 @@ def log_poisson(n, mean):
     """
     n = np.asarray(n, dtype=np.float64)
     mean = np.asarray(mean, dtype=np.float64)
-    if mean.ndim == 0 and mean == 0.0:
+    if mean.ndim == 0 and float(mean) == 0.0:
         return np.where(n == 0.0, 0.0, -np.inf)
     log_mean = math.log(mean) if mean.ndim == 0 else np.log(mean)
-    small = n < _TABLE
-    if small.all():
+    # max and min rather than an n < _TABLE mask: a third of the time on a small table
+    if n.max(initial=0.0) < _TABLE:
         return n * log_mean - mean - _LOG_FACTORIAL[n.astype(np.intp)]
     big = np.maximum(n, _TABLE)
     loader = -_stirlerr(big) - _bd0(big, mean) - (_HALF_LOG_2PI + 0.5 * np.log(big))
-    if not small.any():
+    if n.min() >= _TABLE:
         return loader
     table = n * log_mean - mean - _LOG_FACTORIAL[np.minimum(n, _TABLE - 1).astype(np.intp)]
-    return np.where(small, table, loader)
-
-
-def poisson_table(lo: int, top: int, mean):
-    """The counts k = lo..top as floats and log pois(k; mean) on them.
-
-    mean is a float or a column of means, one table row each.
-    """
-    k = np.arange(lo, top + 1.0)
-    if top >= _TABLE or not (mean > 0.0 if isinstance(mean, float) else mean.min() > 0.0):
-        return k, log_poisson(k, mean)
-    log_mean = math.log(mean) if isinstance(mean, float) else np.log(mean)
-    return k, k * log_mean - mean - _LOG_FACTORIAL[lo : top + 1]
+    return np.where(n < _TABLE, table, loader)
 
 
 def tail_window(n_min: int, n_max: int, mean_min: float, mean_max: float) -> tuple[int, int, int]:

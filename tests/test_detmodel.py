@@ -13,6 +13,7 @@ from ionread.detmodel import (
     IonSpecies,
     LeakParams,
     PhotonHistogram,
+    _pmf_jacobians,
     count_pmfs,
     detection_params,
     get_species,
@@ -321,6 +322,42 @@ class TestCountDistributions:
         got_dark, got_bright = count_pmfs(np.arange(n + 1), lambda0, a1, a2)
         assert got_dark[n] == pytest.approx(float(dark), rel=1e-12, abs=0.0)
         assert got_bright[n] == pytest.approx(float(bright), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("lambda0,a1,a2", [
+        (12.0, 0.05, 0.0),  # a2 = 0: no bright leak term
+        (9.0, 0.49, 0.02),  # a1 near 0.5
+        (1500.0, 1e-3, 2e-3),  # a table past 1,024 counts, on Loader's form
+    ])
+    def test_jacobians_match_central_differences(self, lambda0, a1, a2):
+        n = np.arange(histogram_cutoff(lambda0) + 1.0)
+        dark, bright, *jacs = _pmf_jacobians(n, lambda0, a1, a2)
+        for got, want in zip((dark, bright), count_pmfs(n, lambda0, a1, a2)):
+            assert np.array_equal(got, want)
+        h = 1e-5
+        for i, value in enumerate((lambda0, a1, a2)):
+            if value == 0.0:  # d/dlog a2 = a2 d/da2 vanishes at a2 = 0
+                assert all(np.all(jac[i] == 0.0) for jac in jacs)
+                continue
+            point = [lambda0, a1, a2]
+            pmfs = []
+            for sign in (1.0, -1.0):
+                point[i] = value * math.exp(sign * h)
+                pmfs.append(count_pmfs(n, *point))
+            for jac, up, down in zip(jacs, *pmfs):
+                central = (up - down) / (2.0 * h)
+                assert np.abs(central - jac[i]).max() <= 1e-6 * np.abs(jac).max(), i
+
+    @pytest.mark.parametrize("a1,a2", [(0.05, 0.02), (0.05, 0.0), (0.0, 0.02), (0.0, 0.0)])
+    @pytest.mark.parametrize("first", [0, 3])
+    def test_column_of_light_levels_matches_one_at_a_time(self, a1, a2, first):
+        # one row per light level, as one level at a time gives it; the point
+        # mass at n = 0 lands in every row's first column
+        levels = np.array([0.5, 7.0, 40.0])
+        counts = np.arange(first, 60)
+        columns = count_pmfs(counts, levels[:, None], a1, a2)
+        for row, lambda0 in enumerate(levels):
+            for got, want in zip(columns, count_pmfs(counts, float(lambda0), a1, a2)):
+                assert got[row] == pytest.approx(want, rel=1e-12, abs=1e-300)
 
     def test_far_tail_bin_is_zero(self):
         # an underflowed P far past the cutoff is negligible, not an error

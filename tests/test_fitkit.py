@@ -246,6 +246,29 @@ class TestScoringInternals:
                 nll -= float(counts @ np.log(np.clip(pmf, 1e-300, None)[: len(counts)]))
         assert fitkit._objective(u, problem)[0] == nll
 
+    @pytest.mark.parametrize("eta_scale", [1.0, 100.0])
+    def test_objective_tabulates_log_poisson_once(self, monkeypatch, eta_scale):
+        # the pmfs and their derivatives come from one kernel table; at 100x
+        # eta, lambda0 ~ 790 and the table passes 1,024 counts (Loader's form)
+        from ionread import specfun
+
+        log_poisson = specfun.log_poisson
+        calls = []
+
+        def counted(n, mean):
+            calls.append(np.size(n))
+            return log_poisson(n, mean)
+
+        monkeypatch.setattr(specfun, "log_poisson", counted)
+        dark, bright = analytic_pair()
+        problem, u0 = fitkit._setup(fitkit._counts(dark, "dark"), fitkit._counts(bright, "bright"),
+                                    CD, TAU_D, False, Scheme.P32)
+        calls.clear()
+        nll, grad, fisher = fitkit._objective(u0 + np.log([eta_scale, 1.0, 1.0]), problem)
+        assert math.isfinite(nll) and np.isfinite(grad).all() and np.isfinite(fisher).all()
+        assert len(calls) == 1
+        assert (calls[0] > 1024) == (eta_scale > 1.0)
+
     @pytest.mark.parametrize("scheme", [Scheme.P32, Scheme.P12])
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -262,12 +285,18 @@ class TestScoringInternals:
         for name in names:
             assert math.exp(logs[name]) == pytest.approx(natural[name], rel=1e-10), name
 
-    @pytest.mark.parametrize("broken", ["singular", "nan"])
+    @pytest.mark.parametrize("broken", ["singular", "nan", "no_decrease"])
     def test_bad_fisher_step_not_converged(self, monkeypatch, broken):
         objective = fitkit._objective
+        nlls = []
 
         def patched(u, problem):
             nll, grad, fisher = objective(u, problem)
+            nlls.append(nll)
+            if broken == "no_decrease":
+                # every trial point scores the start's NLL, so step halving
+                # runs down to _STEP_TOL without a decrease
+                return nlls[0], grad, fisher
             if fisher is not None:
                 fisher = 0.0 * fisher if broken == "singular" else np.full_like(fisher, np.nan)
             return nll, grad, fisher
@@ -275,6 +304,9 @@ class TestScoringInternals:
         monkeypatch.setattr(fitkit, "_objective", patched)
         dark, bright = analytic_pair()
         res = fit_histograms(dark, bright, CD, TAU_D)
+        if broken == "no_decrease":
+            assert len(nlls) > 2  # the start, then trial points ever closer to it
+            assert res.neg_log_likelihood == nlls[0]
         assert not res.converged
         assert res.iterations == 0
         assert all(math.isfinite(v) for v in (res.eta, res.s, res.p_impure,

@@ -195,3 +195,15 @@ def test_readme_block_gives_recorded_outputs(tmp_path, monkeypatch, capsys):
     for name, expected in EXPECTED_DIGESTS.items():
         text = (tmp_path / name).read_text()
         assert digests(text)[0] == expected[0], first_difference(name, text, expected)
+
+
+def test_readme_python_example_prints_its_comment(capsys):
+    # the library example runs as written and prints what its comment says
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+    block = next(block for block in blocks if "optimize_detection(" in block)
+    assert re.search(r"print\(.*\)\s*#\s*(.*)", block)[1] == "0.9953..., 5.37..., 0"
+    exec(compile(block, str(README), "exec"), {})
+    fidelity, lambda0_opt, d = capsys.readouterr().out.split()
+    assert fidelity.startswith("0.9953")
+    assert lambda0_opt.startswith("5.37")
+    assert d == "0"
