@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._text import _CSV_ROWS, _table  # noqa: F401 (_CSV_ROWS: the readouts' chunk size)
+from ._text import _table
 from .detmodel import LeakParams, _leak_fractions, pmf_arrays
 from .errors import ConfigError, DomainError, _count, _instance, _is_integer, _is_real, _real
 from .mcsim import _keyed_rng
@@ -71,20 +71,19 @@ class Roi:
         )
 
 
-def default_rois(positions, frame_width: int, frame_height: int,
-                 size: int = math.isqrt(CcdParams.roi_super_pixels)):
+def default_rois(positions, size: int = math.isqrt(CcdParams.roi_super_pixels)):
     """Size x size boxes centered on the given (x, y) super-pixel positions.
 
-    Boxes must fit inside the frame and must not overlap.
+    Boxes must not reach below pixel 0, overlap, or span over MAX_PIXELS pixels from (0, 0).
     """
-    _count(frame_width, "frame_width")
-    _count(frame_height, "frame_height")
     half = _count(size, "size", 1) // 2
+    positions = _positions(positions)
+    _check_extent(positions, size)
     rois = []
-    for i, (x, y) in enumerate(_positions(positions)):
+    for i, (x, y) in enumerate(positions):
         x0, y0 = int(x) - half, int(y) - half
-        if x0 < 0 or y0 < 0 or x0 + size > frame_width or y0 + size > frame_height:
-            raise ConfigError(f"ROI around positions[{i}] = ({x},{y}) leaves the {frame_width}x{frame_height} frame")
+        if x0 < 0 or y0 < 0:
+            raise ConfigError(f"ROI around positions[{i}] = ({x},{y}) reaches below pixel 0")
         rois.append(Roi(x0=x0, y0=y0, width=size, height=size))
     for (i, a), (j, b) in combinations(enumerate(rois), 2):
         if a.overlaps(b):
@@ -92,7 +91,7 @@ def default_rois(positions, frame_width: int, frame_height: int,
     return rois
 
 
-MAX_PIXELS = 2**22  # a 2048 x 2048 frame; the sampler's pixel index is allocated per pixel
+MAX_PIXELS = 2**22  # pixels from (0, 0) to the far ROI corner, a 2048 x 2048 frame: the sampler indexes each
 MAX_READOUTS = 2**20  # trials x ions of one register batch, held as columns and as CSV rows
 # Iteration turns this many trials into Python objects at a time.
 _ITER_TRIALS = 1024
@@ -107,20 +106,13 @@ def _positions(positions) -> list:
     return [(_real(x, f"positions[{i}]"), _real(y, f"positions[{i}]")) for i, (x, y) in enumerate(pairs)]
 
 
-def _frame_size(positions, side: int, frame_width, frame_height) -> tuple[int, int]:
-    """Frame dimensions; a None one makes room for side x side boxes around the ions."""
+def _check_extent(positions, size: int) -> None:
+    """Refuse no positions, or size x size boxes around them spanning no pixel or over MAX_PIXELS from (0, 0)."""
     if len(positions) == 0:
         raise DomainError("at least one ion position is required")
-    margin = side // 2 + 1
-    if frame_width is None:
-        frame_width = max(int(x) for x, _ in positions) + margin
-    if frame_height is None:
-        frame_height = max(int(y) for _, y in positions) + margin
-    if not (_is_integer(frame_width) and _is_integer(frame_height)
-            and min(frame_width, frame_height) >= 1 and frame_width * frame_height <= MAX_PIXELS):
-        raise ConfigError(f"the {frame_width}x{frame_height} frame set by frame_width, frame_height or "
-                          f"positions must hold 1 to {MAX_PIXELS} pixels")
-    return frame_width, frame_height
+    width, height = (max(int(p[axis]) for p in positions) - size // 2 + size for axis in (0, 1))
+    if min(width, height) < 1 or width * height > MAX_PIXELS:
+        raise ConfigError(f"positions put the far ROI corner at ({width}, {height}), not 1 to {MAX_PIXELS} pixels")
 
 
 @dataclass(slots=True, eq=False)
@@ -171,12 +163,12 @@ def _parse_states(states, n_ions: int):
     return bits
 
 
-def _sampler(positions, per_ion_lambda0, leak, eta, ccd, crosstalk_eps, frame_shape, read_pixels):
-    """expose(rng, bits): pixel values of one exposure per row of bits.
+def _sampler(positions, per_ion_lambda0, leak, eta, ccd, crosstalk_eps, rois):
+    """expose(rng, bits): the pixel values of the rois in one exposure per row of bits.
 
     bits is a (trials, ions) 0/1 array; the result has one column per
-    entry of read_pixels (flat row-major indices into the frame_shape
-    frame), in that order. Draws, in this order: a uniform per ion for its
+    pixel of the rois, box by box, each box row-major. A photon outside
+    every box is lost. Draws, in this order: a uniform per ion for its
     photon count; per photon a uniform for its destination (eps to each
     neighbor), x then y PSF offsets, and an exponential gain; the readout
     noise of every read pixel.
@@ -189,9 +181,12 @@ def _sampler(positions, per_ion_lambda0, leak, eta, ccd, crosstalk_eps, frame_sh
     _real(crosstalk_eps, "crosstalk_eps", 0, 0.5, "[)")
     centers = np.array(positions, dtype=np.float64)
     stack, starts = _count_cdfs(tuple(float(v) for v in per_ion_lambda0), leak.alpha1, leak.alpha2, eta)
-    height, width = frame_shape
+    # the column of each pixel from (0, 0) to the far ROI corner, -1 outside every box
+    width, height = max(r.x0 + r.width for r in rois), max(r.y0 + r.height for r in rois)
+    read = np.concatenate([(width * np.arange(r.y0, r.y0 + r.height)[:, None] + np.arange(r.x0, r.x0 + r.width))
+                           .ravel() for r in rois])
     column = np.full(height * width, -1)
-    column[read_pixels] = np.arange(len(read_pixels))
+    column[read] = np.arange(read.size)
 
     def expose(rng, bits):
         trials = len(bits)
@@ -212,10 +207,10 @@ def _sampler(positions, per_ion_lambda0, leak, eta, ccd, crosstalk_eps, frame_sh
         inside = (px >= 0) & (px < width) & (py >= 0) & (py < height)
         col = column[py[inside] * width + px[inside]]
         hit = col >= 0
-        raw = np.bincount(trial[inside][hit] * len(read_pixels) + col[hit],
-                          weights=amounts[inside][hit], minlength=trials * len(read_pixels))
+        raw = np.bincount(trial[inside][hit] * read.size + col[hit],
+                          weights=amounts[inside][hit], minlength=trials * read.size)
         # over no photons bincount returns int64 zeros, so the in-place steps need a float buffer
-        raw = raw.reshape(trials, len(read_pixels)).astype(np.float64, copy=False)
+        raw = raw.reshape(trials, read.size).astype(np.float64, copy=False)
         raw += ccd.offset
         if ccd.readout_rms_r > 0:
             raw += rng.normal(0.0, ccd.readout_rms_r, raw.shape)
@@ -251,8 +246,6 @@ def simulate_register_batch(
     seed: int,
     *,
     states="random",
-    frame_width: int | None = None,
-    frame_height: int | None = None,
 ):
     """Synthesize and read trials exposures into one RegisterBatch.
 
@@ -262,7 +255,7 @@ def simulate_register_batch(
     index) for each block, so a seed gives the same readouts within a
     stream version. Each ion is read through a square ROI box of
     ccd.roi_super_pixels super-pixels, so that count must be a perfect
-    square; only the ROI pixels are drawn.
+    square; only the ROI pixels are drawn, and default_rois' refusals apply.
     """
     _count(trials, "trials", 1)
     positions = _positions(positions)
@@ -273,20 +266,16 @@ def simulate_register_batch(
     side = math.isqrt(_instance(ccd, CcdParams, "imager settings").roi_super_pixels)
     if side * side != ccd.roi_super_pixels:
         raise DomainError(f"roi_super_pixels must be a perfect square, got {ccd.roi_super_pixels}")
-    frame_width, frame_height = _frame_size(positions, side, frame_width, frame_height)
+    _check_extent(positions, side)  # before thresholds and states; default_rois checks placement after them
     n_ions = len(positions)
     thresholds = _thresholds(thresholds, n_ions)
     fixed = None if isinstance(states, str) and states == "random" else _parse_states(states, n_ions)
-    grid = np.arange(frame_height * frame_width).reshape(frame_height, frame_width)
-    read_pixels = np.concatenate([grid[r.y0 : r.y0 + side, r.x0 : r.x0 + side].ravel()
-                                  for r in default_rois(positions, frame_width, frame_height, size=side)])
-    expose = _sampler(positions, per_ion_lambda0, leak, eta, ccd, crosstalk_eps,
-                      (frame_height, frame_width), read_pixels)
+    expose = _sampler(positions, per_ion_lambda0, leak, eta, ccd, crosstalk_eps, default_rois(positions, side))
     sums = np.empty((trials, n_ions))
     truth = np.empty((trials, n_ions), dtype=np.int64)
     rng = None
     # imager settings near the float range can overflow a sum, or a photon's position past int64
-    # (it lands off the frame either way): such sums are refused below
+    # (it lands outside every ROI either way): such sums are refused below
     with np.errstate(over="ignore", invalid="ignore"):
         for block, start in enumerate(range(0, trials, BLOCK)):
             states = truth[start : start + BLOCK]
@@ -363,6 +352,14 @@ class CorrelationReport:
             np.asarray(self.cond_counts, np.int64)[j], np.asarray(self.defined, bool)[i, j]]))
 
 
+def _check_report(n_trials: int, n_ions: int) -> None:
+    """The correlation report's preconditions: at least 100 readouts, of at least 2 ions."""
+    if n_trials < 100:
+        raise DomainError(f"need at least 100 readouts, got {n_trials}")
+    if n_ions < 2:
+        raise DomainError(f"need at least 2 ions, got {n_ions}")
+
+
 def conditional_correlations(batch: RegisterBatch) -> CorrelationReport:
     """Measure inter-ion readout correlations from the bits of a register batch.
 
@@ -370,12 +367,9 @@ def conditional_correlations(batch: RegisterBatch) -> CorrelationReport:
     an event that never occurred are flagged undefined (NaN), since
     absence of evidence is not evidence of independence.
     """
-    if len(_instance(batch, RegisterBatch, "batch")) < 100:
-        raise DomainError(f"need at least 100 readouts, got {len(batch)}")
-    bits = np.asarray(batch.bits, dtype=np.int64)
+    bits = np.asarray(_instance(batch, RegisterBatch, "batch").bits, dtype=np.int64)
     n_trials, n_ions = bits.shape
-    if n_ions < 2:
-        raise DomainError(f"need at least 2 ions, got {n_ions}")
+    _check_report(len(batch), n_ions)
     marginals = bits.mean(axis=0)
     cond_counts = bits.sum(axis=0)
     # entry [i, j] conditions ion i on bit_j = 1

@@ -265,7 +265,7 @@ def _cmd_fit(args, cfg) -> int:
 
 
 def _cmd_ccd_sim(args, cfg) -> int:
-    from .ccd import _readout_chunks, conditional_correlations, simulate_register_batch
+    from .ccd import _check_report, _readout_chunks, conditional_correlations, simulate_register_batch
 
     readouts_out = cfg.get("readouts_out") or args.out
     if not readouts_out:
@@ -273,11 +273,10 @@ def _cmd_ccd_sim(args, cfg) -> int:
     lambda0 = cfg["lambda0"]
     per_ion = lambda0 if isinstance(lambda0, list) else [lambda0] * len(cfg["positions"])
     leak = LeakParams(max(per_ion), cfg["alpha1"], cfg["alpha2"])
+    _check_report(cfg["trials"], len(cfg["positions"]))  # before sampling, not after
     batch = simulate_register_batch(
         cfg["trials"], cfg["positions"], per_ion, leak, cfg["eta"], cfg["ccd"], cfg["crosstalk_eps"],
-        cfg["thresholds"], cfg["seed"], states=cfg["states"],
-        frame_width=cfg.get("frame_width"), frame_height=cfg.get("frame_height"),
-    )
+        cfg["thresholds"], cfg["seed"], states=cfg["states"])
     # built before the first write, so a register it rejects leaves no file
     report = conditional_correlations(batch)
     _emit(_readout_chunks(batch), readouts_out)
@@ -346,9 +345,7 @@ _COMMANDS = {
                   "alpha1": Key(_real, 0.0), "alpha2": Key(_real, 0.0), "eta": Key(_real, 1.0),
                   "crosstalk_eps": Key(_real, 0.0), "thresholds": Key(_numbers, REQUIRED),
                   "trials": Key(_integer, REQUIRED), "seed": Key(_integer, 0),
-                  "states": Key(_states, "random"),
-                  "frame_width": Key(_integer), "frame_height": Key(_integer),
-                  "ccd": Key(_CCD, {}),
+                  "states": Key(_states, "random"), "ccd": Key(_CCD, {}),
                   "readouts_out": Key(_path), "report_out": Key(_path)}]),
     "crosstalk": (_cmd_crosstalk, "diffraction-limited neighbor crosstalk ratio",
                   [{"wavelength_nm": Key(_real, REQUIRED), "spacing_um": Key(_real, REQUIRED)}]),
@@ -370,8 +367,9 @@ def _key_listing(tables: list) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # an explicit usage line: argparse wraps a long one differently from one Python to the next
     parser = argparse.ArgumentParser(
-        prog="ionread",
+        prog="ionread", usage="%(prog)s [-h] {" + ",".join(_COMMANDS) + "} ...",
         description="photon-count statistics and readout modeling for hyperfine ion qubits",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -403,6 +401,11 @@ def run_command(argv) -> int:
         return 1
     except MemoryError as exc:
         print("ionread: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return 1
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        print(f"ionread: {args.command} needs numpy, which is not installed", file=sys.stderr)
         return 1
 
 

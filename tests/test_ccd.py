@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ionread import ccd
+from ionread import _text, ccd
 from ionread.ccd import (
     CcdParams,
     RegisterBatch,
@@ -35,9 +35,12 @@ def roi_mean(readouts, ion):
 
 
 def whole_frame(states, positions, lam, leak, params, eps, seed, width=None, height=None):
-    """Every pixel of one eta = 1 exposure, as block 0 of the register stream draws it."""
-    width, height = ccd._frame_size(positions, math.isqrt(params.roi_super_pixels), width, height)
-    expose = ccd._sampler(positions, lam, leak, 1.0, params, eps, (height, width), np.arange(height * width))
+    """Every pixel of one eta = 1 exposure, as block 0 of the register stream draws it. The frame
+    ends where it is given, else side // 2 + 1 pixels past the farthest ion on each axis."""
+    margin = math.isqrt(params.roi_super_pixels) // 2 + 1
+    width = width or max(int(x) for x, _ in positions) + margin
+    height = height or max(int(y) for _, y in positions) + margin
+    expose = ccd._sampler(positions, lam, leak, 1.0, params, eps, [Roi(0, 0, width, height)])
     bits = np.array([ccd._parse_states(states, len(positions))])
     return expose(_keyed_rng(seed, ccd._STREAM_SALT, 0), bits).reshape(height, width).astype(np.int64)
 
@@ -119,23 +122,35 @@ class TestCrosstalkRatio:
 
 class TestRoiGeometry:
     def test_default_rois_fit(self):
-        rois = default_rois(POS3, 21, 7, size=7)
+        rois = default_rois(POS3, size=7)
         assert all(r.width * r.height == 49 for r in rois)
         assert rois[0].x0 == 0 and rois[0].y0 == 0
 
     def test_overlap_rejected(self):
         with pytest.raises(ConfigError, match="overlap"):
-            default_rois([(3, 3), (8, 3)], 21, 7, size=7)
+            default_rois([(3, 3), (8, 3)], size=7)
 
-    def test_out_of_frame_rejected(self):
-        with pytest.raises(ConfigError, match="frame"):
-            default_rois([(18, 3)], 21, 7, size=7)
-        # near the left edge the box origin itself is already invalid
-        with pytest.raises((DomainError, ConfigError)):
-            default_rois([(2, 3)], 21, 7, size=7)
+    def test_below_pixel_0_rejected(self):
+        # near the left or top edge a box would start below pixel 0, and the error names its position
+        for positions, i in [([(2, 3)], 0), ([(3, 3), (10, 2)], 1)]:
+            with pytest.raises(ConfigError, match=rf"positions\[{i}\].*below pixel 0"):
+                default_rois(positions, size=7)
+
+    def test_no_positions_rejected(self):
+        with pytest.raises(DomainError, match="ion position"):
+            default_rois([], size=7)
+
+    @pytest.mark.parametrize("size", [1, 6, 7])
+    def test_pixel_cap_at_far_corner(self, size):
+        # the cap counts the pixels from (0, 0) to the far ROI corner: on a strip size pixels high
+        # the widest box that fits passes, and one column more does not
+        x = ccd.MAX_PIXELS // size - size + size // 2
+        assert default_rois([(x, size // 2)], size=size)[0].x0 + size == ccd.MAX_PIXELS // size
+        with pytest.raises(ConfigError, match=rf"far ROI corner at \({ccd.MAX_PIXELS // size + 1}, {size}\), not 1 to {ccd.MAX_PIXELS} pixels"):
+            default_rois([(x + 1, size // 2)], size=size)
 
     def test_register_roi_from_super_pixels(self):
-        # 5x5 boxes around ions 5 apart fit; the default 7x7 would leave the frame
+        # 5x5 boxes around ions 5 apart fit; the default 7x7 ones would reach below pixel 0 and overlap
         ccd = CcdParams(roi_super_pixels=25, readout_rms_r=0.0)
         readouts = simulate_register_batch(
             5, [(2, 2), (7, 2)], [12.0] * 2, LEAK, 1.0, ccd, 0.0, [0.0] * 2, 3,
@@ -226,7 +241,7 @@ class TestFrameSynthesis:
             z = [(center - v) / (psf_sigma * math.sqrt(2)) for v in (lo - 0.5, lo + width - 0.5)]
             return 0.5 * (math.erfc(z[1]) - math.erfc(z[0]))
 
-        for j, roi in enumerate(default_rois(POS3, 21, 7)):
+        for j, roi in enumerate(default_rois(POS3)):
             p_box = [mass(roi.x0, roi.width, x) * mass(roi.y0, roi.height, y) for x, y in POS3]
             expect = ccd.counts_per_photon * sum(
                 mean_n[i] * weights[i, d] * p_box[d] for i in range(3) for d in range(3))
@@ -409,7 +424,7 @@ def synthetic_batch(trials, n_ions, sums="integral", truth=True, seed=0):
     return RegisterBatch(roi_sums, (roi_sums > 600.0).astype(int), states)
 
 
-ROWS = ccd._CSV_ROWS
+ROWS = _text._CSV_ROWS
 TRIALS = ccd._ITER_TRIALS
 
 
@@ -512,6 +527,15 @@ class TestCorrelations:
             50, POS3, [12.0] * 3, LEAK, 1.0, CcdParams(), 0.0,
             [600.0] * 3, 1, states="random")
         with pytest.raises(DomainError):
+            conditional_correlations(readouts)
+
+    @pytest.mark.parametrize("trials, positions, message", [
+        (50, [(3, 3)], "need at least 100 readouts, got 50"),
+        (100, [(3, 3)], "need at least 2 ions, got 1"),
+    ])
+    def test_preconditions_in_order(self, trials, positions, message):
+        readouts = simulate_register_batch(trials, positions, [12.0], LEAK, 1.0, CcdParams(), 0.0, [600.0], 1)
+        with pytest.raises(DomainError, match=message):
             conditional_correlations(readouts)
 
     def test_independent_register_null(self):

@@ -188,6 +188,66 @@ class TestRuntimeImports:
         assert not {"ionread.ccd", "ionread.fitkit", "ionread.mcsim"} & set(optimize)
 
 
+def _pyenv_interpreters() -> list:
+    """Each installed pyenv Python at 3.10 or newer, other than the running one."""
+    versions = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv") / "versions"
+    running = Path(sys.executable).resolve()
+    found = []
+    for python in sorted(versions.glob("3.*/bin/python")):
+        minor = python.parents[1].name.split(".")[1]
+        if minor.isdigit() and int(minor) >= 10 and python.resolve() != running:
+            found.append(python)
+    return found
+
+
+class TestInterpreters:
+    """The numpy-free commands give the same bytes on every installed Python,
+    and where numpy is missing a command that needs it exits 1 with one line."""
+
+    def run_all(self, python, argvs, cwd):
+        """[exit code, stdout, stderr] of each argv, run through run_command in one python process,
+        and whether that python has numpy."""
+        env = dict(os.environ, PYTHONPATH=str(Path(ionread.__file__).resolve().parents[1]), COLUMNS="80")
+        proc = subprocess.run(
+            [str(python), "-c",
+             "import contextlib, importlib.util, io, json, sys\n"
+             "from ionread.cli import run_command\n"
+             "results = []\n"
+             f"for argv in {argvs!r}:\n"
+             "    out, err = io.StringIO(), io.StringIO()\n"
+             "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+             "        results.append([run_command(argv), out.getvalue(), err.getvalue()])\n"
+             "print(json.dumps([results, importlib.util.find_spec('numpy') is not None]))\n"],
+            capture_output=True, text=True, timeout=120, cwd=cwd, env=env)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    def test_numpy_free_commands_match_and_numpy_commands_exit_1(self, tmp_path):
+        pythons = _pyenv_interpreters()
+        if not pythons:
+            pytest.skip("no other pyenv Python at 3.10 or newer is installed")
+        write_config(tmp_path, FIG_CONFIG, "det.json")
+        write_config(tmp_path, {"wavelength_nm": 214.5, "spacing_um": 4.0}, "xt.json")
+        write_config(tmp_path, {"lambda0": 12.0, "eta": 1.0}, "leak.json")
+        write_config(tmp_path, {"lambda0": 12.0, "eta": 1.0, "bogus": 1}, "unknown.json")
+        numpy_free = [["params", "--config", "det.json"], ["crosstalk", "--config", "xt.json"], ["--help"],
+                      *([name, "--help"] for name in SUBCOMMANDS), ["dist", "--config", "unknown.json"]]
+        needs_numpy = {"dist": ["--config", "leak.json", "--out", "dist.csv"],
+                       "mc": ["--config", "leak.json", "--trials", "10", "--out", "mc.csv"],
+                       "optimize": ["--species", "cd111", "--eta", "0.01"]}
+        expected, _ = self.run_all(sys.executable, numpy_free, tmp_path)
+        assert [code for code, _, _ in expected] == [0] * (len(numpy_free) - 1) + [2]
+        for python in pythons:
+            results, has_numpy = self.run_all(python, numpy_free + [[name, *args] for name, args in
+                                                                   needs_numpy.items()], tmp_path)
+            assert results[:len(numpy_free)] == expected, python
+            if not has_numpy:
+                assert results[len(numpy_free):] == [[1, "", f"ionread: {name} needs numpy, which is not "
+                                                               "installed\n"] for name in needs_numpy], python
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["det.json", "leak.json", "unknown.json",
+                                                                   "xt.json"]
+
+
 class TestHelp:
     def test_top_level_help(self, capsys):
         code, out, _ = run(["--help"], capsys)
@@ -469,7 +529,9 @@ class TestCcdSim:
     @pytest.mark.parametrize("override, key", [
         ({"roi_size": 5}, "roi_size"),
         ({"ccd": {"bin_factor": 2}}, "bin_factor"),
-    ], ids=["roi_size", "ccd.bin_factor"])
+        ({"frame_width": 21}, "frame_width"),
+        ({"frame_height": 7}, "frame_height"),
+    ], ids=["roi_size", "ccd.bin_factor", "frame_width", "frame_height"])
     def test_removed_keys_rejected(self, tmp_path, monkeypatch, capsys,
                                    override, key):
         monkeypatch.chdir(tmp_path)
@@ -695,6 +757,8 @@ def _smallest_over_cap(bins):
 
 
 LAMBDA0_OVER_CAP = _smallest_over_cap(histogram_cutoff)
+# the far 7x7 ROI one column past the widest strip of 7 rows from (0, 0) that MAX_PIXELS holds
+REGISTER_OVER_CAP = [[3, 3], [10, 3], [MAX_PIXELS // 7 - 3, 3]]
 
 
 class TestCaps:
@@ -718,17 +782,17 @@ class TestCaps:
         ("dist", {"lambda0": 6.0, "eta": 1.0, "n_max": MAX_BINS + 1}, [], 2, "config key 'n_max'"),
         ("ccd-sim", {**REGISTER_CONFIG, "lambda0": [12.0, LAMBDA0_OVER_CAP, 12.0]}, ["--trials", "200"], 2,
          "config key 'lambda0'"),
-        ("ccd-sim", {**REGISTER_CONFIG, "frame_width": MAX_PIXELS // 7 + 1, "frame_height": 7},
-         ["--trials", "200"], 2, f"frame_width, frame_height or positions must hold 1 to {MAX_PIXELS}"),
+        ("ccd-sim", {**REGISTER_CONFIG, "positions": REGISTER_OVER_CAP},
+         ["--trials", "200"], 2, f"far ROI corner at (599187, 7), not 1 to {MAX_PIXELS} pixels"),
         ("ccd-sim", {**REGISTER_CONFIG, "positions": [[3, 3], [10, 3], [MAX_PIXELS // 7, 3]]},
-         ["--trials", "200"], 2, f"frame_width, frame_height or positions must hold 1 to {MAX_PIXELS}"),
+         ["--trials", "200"], 2, f"far ROI corner at (599190, 7), not 1 to {MAX_PIXELS} pixels"),
         ("ccd-sim", REGISTER_CONFIG, ["--trials", str(MAX_READOUTS // 3 + 1)], 2,
          f"trials of 3 ions exceed the cap of {MAX_READOUTS}"),
         ("dist", {**FIG_CONFIG, "tau_d_us": 3e7}, [], 1, "a pmf table at lambda0 = 1583362"),
         ("mc", {**FIG_CONFIG, "tau_d_us": 3e7}, ["--trials", "200"], 1, "a Monte Carlo histogram at lambda0 = 1583362"),
         ("fit", {"dark_csv": "dark.csv", "species": "cd111", "tau_d_us": 150.0}, [], 1,
          f"histogram CSV row needs counts up to {MAX_BINS + 1}"),
-    ], ids=["dist-lambda0", "dist-n_max", "ccd-sim-lambda0", "ccd-sim-frame", "ccd-sim-positions",
+    ], ids=["dist-lambda0", "dist-n_max", "ccd-sim-lambda0", "ccd-sim-far-corner", "ccd-sim-positions",
             "ccd-sim-trials", "dist-derived-lambda0", "mc-derived-lambda0", "fit-histogram-width"])
     def test_over_cap_rejected(self, tmp_path, monkeypatch, capsys, no_allocation,
                                command, doc, flags, code, named):
@@ -740,6 +804,20 @@ class TestCaps:
         assert named in err
         assert out == "" and err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "dark.csv"]
+
+    @pytest.mark.parametrize("positions, trials, message", [
+        ([[3, 3]], 200_000, "need at least 2 ions, got 1"),
+        ([[3, 3], [10, 3], [17, 3]], 64, "need at least 100 readouts, got 64"),
+        ([[3, 3]], 64, "need at least 100 readouts, got 64"),
+    ], ids=["one-ion", "64-trials", "both"])
+    def test_report_preconditions_before_sampling(self, tmp_path, monkeypatch, capsys, no_allocation,
+                                                  positions, trials, message):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, {**REGISTER_CONFIG, "positions": positions,
+                                      "thresholds": REGISTER_CONFIG["thresholds"][:len(positions)]})
+        code, out, err = run(["ccd-sim", "--config", cfg, "--trials", str(trials)], capsys)
+        assert (code, out, err) == (1, "", f"ionread: {message}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 # Sample values per value parser of the key tables: valid ones, the
@@ -787,7 +865,7 @@ def config_documents(draw):
         elif mutation == "unknown":
             doc["bogus_key"] = 1
         elif mutation == "cap" and command == "ccd-sim" and draw(st.booleans()):
-            doc.update(frame_width=MAX_PIXELS // 7 + 1, frame_height=7)
+            doc.update(positions=REGISTER_OVER_CAP)
         elif mutation == "cap":
             capped = [key for key in keys if table[key].bins]
             if capped:

@@ -281,15 +281,13 @@ CALLS = {
     "Roi": (ionread.Roi, dict(x0=arg(0, 3), y0=arg(0), width=arg(1, 7), height=arg(7)), 40),
     "conditional_correlations": (ionread.conditional_correlations, dict(batch=arg(BATCH)), 15),
     "default_rois": (ionread.default_rois, dict(
-        positions=arg(POS3, [(3.5, 3)]) | items((3, 3), (10, 3), size=(1, 2)),
-        frame_width=arg(21), frame_height=arg(7), size=arg(7, 3)), 40),
+        positions=arg(POS3, [(3.5, 3)]) | items((3, 3), (10, 3), size=(1, 2)), size=arg(7, 3)), 40),
     "equal_error_threshold": (ionread.equal_error_threshold, dict(
         dark_sums=items(1.0, 2.0, size=(1, 3)), bright_sums=items(5.0, size=(1, 3))), 30),
     "simulate_register_batch": (ionread.simulate_register_batch, dict(
         trials=arg(1, 20), positions=arg(POS3), per_ion_lambda0=items(12.0, 300.0, size=(3, 3)),
         leak=LEAKS, eta=ETA, ccd=CCD, crosstalk_eps=arg(0.0, 0.016), thresholds=items(600.0, size=(3, 3)),
-        seed=arg(0, 7), states=arg("random", "101", [1, 0, 1]), frame_width=arg(None, 21),
-        frame_height=arg(None, 7)), 40),
+        seed=arg(0, 7), states=arg("random", "101", [1, 0, 1])), 40),
     "CcdParams": (ionread.CcdParams, dict(
         gain_g=arg(100.0), readout_rms_r=arg(0.0, 2.0), roi_super_pixels=arg(49, 9), offset=arg(20.0),
         counts_per_photon=arg(100.0), psf_sigma=arg(1.0), gain_dist=arg("exponential", "fixed")), 40),
