@@ -78,7 +78,7 @@ def default_rois(positions, size: int = math.isqrt(CcdParams.roi_super_pixels)):
     """
     half = _count(size, "size", 1) // 2
     positions = _positions(positions)
-    _check_extent(positions, size)
+    _extent(positions, size)
     rois = []
     for i, (x, y) in enumerate(positions):
         x0, y0 = int(x) - half, int(y) - half
@@ -106,13 +106,14 @@ def _positions(positions) -> list:
     return [(_real(x, f"positions[{i}]"), _real(y, f"positions[{i}]")) for i, (x, y) in enumerate(pairs)]
 
 
-def _check_extent(positions, size: int) -> None:
-    """Refuse no positions, or size x size boxes around them spanning no pixel or over MAX_PIXELS from (0, 0)."""
+def _extent(positions, size: int) -> tuple:
+    """(width, height) from (0, 0) to the far ROI corner; refuses no positions, no pixel or over MAX_PIXELS."""
     if len(positions) == 0:
         raise DomainError("at least one ion position is required")
     width, height = (max(int(p[axis]) for p in positions) - size // 2 + size for axis in (0, 1))
     if min(width, height) < 1 or width * height > MAX_PIXELS:
         raise ConfigError(f"positions put the far ROI corner at ({width}, {height}), not 1 to {MAX_PIXELS} pixels")
+    return width, height
 
 
 @dataclass(slots=True, eq=False)
@@ -163,7 +164,7 @@ def _parse_states(states, n_ions: int):
     return bits
 
 
-def _sampler(positions, per_ion_lambda0, leak, eta, ccd, crosstalk_eps, rois):
+def _sampler(positions, per_ion_lambda0, leak, eta, ccd, crosstalk_eps, rois, width, height):
     """expose(rng, bits): the pixel values of the rois in one exposure per row of bits.
 
     bits is a (trials, ions) 0/1 array; the result has one column per
@@ -181,8 +182,7 @@ def _sampler(positions, per_ion_lambda0, leak, eta, ccd, crosstalk_eps, rois):
     _real(crosstalk_eps, "crosstalk_eps", 0, 0.5, "[)")
     centers = np.array(positions, dtype=np.float64)
     stack, starts = _count_cdfs(tuple(float(v) for v in per_ion_lambda0), leak.alpha1, leak.alpha2, eta)
-    # the column of each pixel from (0, 0) to the far ROI corner, -1 outside every box
-    width, height = max(r.x0 + r.width for r in rois), max(r.y0 + r.height for r in rois)
+    # the column of each pixel of the width x height grid from (0, 0) holding the rois, -1 outside every box
     read = np.concatenate([(width * np.arange(r.y0, r.y0 + r.height)[:, None] + np.arange(r.x0, r.x0 + r.width))
                            .ravel() for r in rois])
     column = np.full(height * width, -1)
@@ -266,11 +266,12 @@ def simulate_register_batch(
     side = math.isqrt(_instance(ccd, CcdParams, "imager settings").roi_super_pixels)
     if side * side != ccd.roi_super_pixels:
         raise DomainError(f"roi_super_pixels must be a perfect square, got {ccd.roi_super_pixels}")
-    _check_extent(positions, side)  # before thresholds and states; default_rois checks placement after them
+    extent = _extent(positions, side)  # before thresholds and states; default_rois checks placement after them
     n_ions = len(positions)
     thresholds = _thresholds(thresholds, n_ions)
     fixed = None if isinstance(states, str) and states == "random" else _parse_states(states, n_ions)
-    expose = _sampler(positions, per_ion_lambda0, leak, eta, ccd, crosstalk_eps, default_rois(positions, side))
+    expose = _sampler(positions, per_ion_lambda0, leak, eta, ccd, crosstalk_eps, default_rois(positions, side),
+                      *extent)
     sums = np.empty((trials, n_ions))
     truth = np.empty((trials, n_ions), dtype=np.int64)
     rng = None
@@ -368,8 +369,8 @@ def conditional_correlations(batch: RegisterBatch) -> CorrelationReport:
     absence of evidence is not evidence of independence.
     """
     bits = np.asarray(_instance(batch, RegisterBatch, "batch").bits, dtype=np.int64)
+    _check_report(len(batch), bits.shape[1] if bits.ndim == 2 else 0)  # the readout count first
     n_trials, n_ions = bits.shape
-    _check_report(len(batch), n_ions)
     marginals = bits.mean(axis=0)
     cond_counts = bits.sum(axis=0)
     # entry [i, j] conditions ion i on bit_j = 1

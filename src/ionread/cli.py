@@ -367,12 +367,11 @@ def _key_listing(tables: list) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # an explicit usage line: argparse wraps a long one differently from one Python to the next
-    parser = argparse.ArgumentParser(
+    parser = argparse.ArgumentParser(  # one usage line: argparse wraps a long one differently by Python version
         prog="ionread", usage="%(prog)s [-h] {" + ",".join(_COMMANDS) + "} ...",
         description="photon-count statistics and readout modeling for hyperfine ion qubits",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, prog="ionread")  # not the usage line above
     for name, (func, help_text, tables) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text, epilog=_key_listing(tables),
                            formatter_class=argparse.RawDescriptionHelpFormatter)

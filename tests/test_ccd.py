@@ -40,7 +40,7 @@ def whole_frame(states, positions, lam, leak, params, eps, seed, width=None, hei
     margin = math.isqrt(params.roi_super_pixels) // 2 + 1
     width = width or max(int(x) for x, _ in positions) + margin
     height = height or max(int(y) for _, y in positions) + margin
-    expose = ccd._sampler(positions, lam, leak, 1.0, params, eps, [Roi(0, 0, width, height)])
+    expose = ccd._sampler(positions, lam, leak, 1.0, params, eps, [Roi(0, 0, width, height)], width, height)
     bits = np.array([ccd._parse_states(states, len(positions))])
     return expose(_keyed_rng(seed, ccd._STREAM_SALT, 0), bits).reshape(height, width).astype(np.int64)
 
@@ -537,6 +537,16 @@ class TestCorrelations:
         readouts = simulate_register_batch(trials, positions, [12.0], LEAK, 1.0, CcdParams(), 0.0, [600.0], 1)
         with pytest.raises(DomainError, match=message):
             conditional_correlations(readouts)
+
+    @pytest.mark.parametrize("trials, message", [
+        (50, "need at least 100 readouts, got 50"),
+        (100, "need at least 2 ions, got 0"),
+    ])
+    def test_one_dimensional_bits_refused(self, trials, message):
+        # the readout count is checked before the bits' shape is read
+        batch = RegisterBatch(np.zeros(trials), np.zeros(trials, dtype=int), None)
+        with pytest.raises(DomainError, match=message):
+            conditional_correlations(batch)
 
     def test_independent_register_null(self):
         ccd = CcdParams()

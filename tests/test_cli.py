@@ -260,6 +260,16 @@ class TestHelp:
         assert code == 0
         assert name in out or "usage" in out
 
+    @pytest.mark.parametrize("name", SUBCOMMANDS)
+    def test_subcommand_usage_names_only_the_subcommand(self, name, capsys):
+        # the top-level usage line must not leak into a subcommand's usage or its parse errors
+        code, out, _ = run([name, "--help"], capsys)
+        assert code == 0 and out.startswith(f"usage: ionread {name} [-h] [--config CONFIG]")
+        code, out, err = run([name, "--config"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"usage: ionread {name} [-h] [--config CONFIG]")
+        assert err.endswith(f"\nionread {name}: error: argument --config: expected one argument\n")
+
     def test_installed_entry_point(self, tmp_path):
         # Checks the declared console script without needing an install:
         # the declaration in pyproject.toml, then the wrapper that installers
