@@ -13,8 +13,8 @@ __version__ = "0.1.0"
 # home module: the public names it defines
 _EXPORTS = {
     "angular": ("BranchingRatios", "Scheme", "branching_ratios"),
-    "ccd": ("CorrelationReport", "RegisterBatch", "Roi", "conditional_correlations", "default_rois",
-            "equal_error_threshold", "simulate_register_batch"),
+    "ccd": ("CorrelationReport", "RegisterBatch", "conditional_correlations", "equal_error_threshold",
+            "simulate_register_batch"),
     "detmodel": ("BUILTIN_SPECIES", "DetectionConfig", "IonSpecies", "LeakParams", "PhotonHistogram",
                  "detection_params", "get_species", "histogram_cutoff", "p_bright", "p_dark", "pmf_arrays"),
     "errors": ("ConfigError", "DomainError", "IonReadError"),

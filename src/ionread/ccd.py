@@ -29,14 +29,14 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, repeat
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
 
 from ._text import _table
 from .detmodel import LeakParams, _leak_fractions, pmf_arrays
-from .errors import ConfigError, DomainError, _count, _instance, _is_integer, _is_real, _real
+from .errors import ConfigError, DomainError, _count, _instance, _is_real, _real
 from .mcsim import _keyed_rng
 from .settings import CcdParams, crosstalk_ratio, snr  # noqa: F401 (the last two re-exported)
 
@@ -47,51 +47,7 @@ BLOCK = 64
 _STREAM_SALT = 0x5EED_0002
 
 
-@dataclass(frozen=True)
-class Roi:
-    """Axis-aligned super-pixel box, inclusive of x0/y0, width*height pixels."""
-
-    x0: int
-    y0: int
-    width: int
-    height: int
-
-    def __post_init__(self):
-        box = (self.x0, self.y0, self.width, self.height)
-        if (not all(map(_is_integer, box))
-                or self.width < 1 or self.height < 1 or self.x0 < 0 or self.y0 < 0):
-            raise DomainError(f"ROI must have integer fields, positive size and non-negative origin: {self}")
-
-    def overlaps(self, other: "Roi") -> bool:
-        return not (
-            self.x0 + self.width <= other.x0
-            or other.x0 + other.width <= self.x0
-            or self.y0 + self.height <= other.y0
-            or other.y0 + other.height <= self.y0
-        )
-
-
-def default_rois(positions, size: int = math.isqrt(CcdParams.roi_super_pixels)):
-    """Size x size boxes centered on the given (x, y) super-pixel positions.
-
-    Boxes must not reach below pixel 0, overlap, or span over MAX_PIXELS pixels from (0, 0).
-    """
-    half = _count(size, "size", 1) // 2
-    positions = _positions(positions)
-    _extent(positions, size)
-    rois = []
-    for i, (x, y) in enumerate(positions):
-        x0, y0 = int(x) - half, int(y) - half
-        if x0 < 0 or y0 < 0:
-            raise ConfigError(f"ROI around positions[{i}] = ({x},{y}) reaches below pixel 0")
-        rois.append(Roi(x0=x0, y0=y0, width=size, height=size))
-    for (i, a), (j, b) in combinations(enumerate(rois), 2):
-        if a.overlaps(b):
-            raise ConfigError(f"ROIs for ions {i} and {j} overlap")
-    return rois
-
-
-MAX_PIXELS = 2**22  # pixels from (0, 0) to the far ROI corner, a 2048 x 2048 frame: the sampler indexes each
+MAX_PIXELS = 2**22  # pixels from (0, 0) to the far ROI corner, a 2048 x 2048 frame; the sampler indexes fewer
 MAX_READOUTS = 2**20  # trials x ions of one register batch, held as columns and as CSV rows
 # Iteration turns this many trials into Python objects at a time.
 _ITER_TRIALS = 1024
@@ -106,14 +62,25 @@ def _positions(positions) -> list:
     return [(_real(x, f"positions[{i}]"), _real(y, f"positions[{i}]")) for i, (x, y) in enumerate(pairs)]
 
 
-def _extent(positions, size: int) -> tuple:
-    """(width, height) from (0, 0) to the far ROI corner; refuses no positions, no pixel or over MAX_PIXELS."""
+def _boxes(positions, side: int) -> np.ndarray:
+    """The (ions, 2) origins of the side x side boxes centred on positions. Refuses no positions, over
+    MAX_PIXELS pixels from (0, 0) to the far ROI corner, a box reaching below pixel 0 and overlapping boxes."""
     if len(positions) == 0:
         raise DomainError("at least one ion position is required")
-    width, height = (max(int(p[axis]) for p in positions) - size // 2 + size for axis in (0, 1))
+    # Python ints, so a coordinate past int64 is refused before numpy sees it
+    origins = [(int(x) - side // 2, int(y) - side // 2) for x, y in positions]
+    width, height = (max(o[axis] for o in origins) + side for axis in (0, 1))
     if min(width, height) < 1 or width * height > MAX_PIXELS:
         raise ConfigError(f"positions put the far ROI corner at ({width}, {height}), not 1 to {MAX_PIXELS} pixels")
-    return width, height
+    for i, ((x, y), origin) in enumerate(zip(positions, origins)):
+        if min(origin) < 0:
+            raise ConfigError(f"ROI around positions[{i}] = ({x},{y}) reaches below pixel 0")
+    origins = np.array(origins, dtype=np.int64)
+    for i in range(len(origins) - 1):
+        near = (np.abs(origins[i + 1 :] - origins[i]) < side).all(axis=1)
+        if near.any():
+            raise ConfigError(f"ROIs for ions {i} and {i + 1 + int(near.argmax())} overlap")
+    return origins
 
 
 @dataclass(slots=True, eq=False)
@@ -164,15 +131,16 @@ def _parse_states(states, n_ions: int):
     return bits
 
 
-def _sampler(positions, per_ion_lambda0, leak, eta, ccd, crosstalk_eps, rois, width, height):
-    """expose(rng, bits): the pixel values of the rois in one exposure per row of bits.
+def _sampler(positions, per_ion_lambda0, leak, eta, ccd, crosstalk_eps, origins, side):
+    """expose(rng, bits): the pixel values of the side x side boxes at origins in one exposure per row of bits.
 
-    bits is a (trials, ions) 0/1 array; the result has one column per
-    pixel of the rois, box by box, each box row-major. A photon outside
-    every box is lost. Draws, in this order: a uniform per ion for its
-    photon count; per photon a uniform for its destination (eps to each
-    neighbor), x then y PSF offsets, and an exponential gain; the readout
-    noise of every read pixel.
+    per_ion_lambda0 is the light level of each ion; leak supplies only the
+    leak ratios alpha1 and alpha2. bits is a (trials, ions) 0/1 array; the
+    result has one column per pixel of the boxes, box by box, each box
+    row-major. A photon outside every box is lost. Draws, in this order: a
+    uniform per ion for its photon count; per photon a uniform for its
+    destination (eps to each neighbor), x then y PSF offsets, and an
+    exponential gain; the readout noise of every read pixel.
     """
     n_ions = len(positions)
     per_ion_lambda0 = [_real(v, "per_ion_lambda0", 0)
@@ -182,10 +150,12 @@ def _sampler(positions, per_ion_lambda0, leak, eta, ccd, crosstalk_eps, rois, wi
     _real(crosstalk_eps, "crosstalk_eps", 0, 0.5, "[)")
     centers = np.array(positions, dtype=np.float64)
     stack, starts = _count_cdfs(tuple(float(v) for v in per_ion_lambda0), leak.alpha1, leak.alpha2, eta)
-    # the column of each pixel of the width x height grid from (0, 0) holding the rois, -1 outside every box
-    read = np.concatenate([(width * np.arange(r.y0, r.y0 + r.height)[:, None] + np.arange(r.x0, r.x0 + r.width))
-                           .ravel() for r in rois])
-    column = np.full(height * width, -1)
+    # the column of each pixel of the boxes' span, -1 outside every box; pixel (px, py) is py * width + px - shift
+    (x_lo, y_lo), (x_hi, y_hi) = origins.min(axis=0).tolist(), (origins.max(axis=0) + side).tolist()
+    width, shift = x_hi - x_lo, y_lo * (x_hi - x_lo) + x_lo
+    pixels = np.arange(side)
+    read = (width * (origins[:, 1, None, None] + pixels[:, None]) + origins[:, 0, None, None] + pixels - shift).ravel()
+    column = np.full((y_hi - y_lo) * width, -1)
     column[read] = np.arange(read.size)
 
     def expose(rng, bits):
@@ -204,8 +174,8 @@ def _sampler(positions, per_ion_lambda0, leak, eta, ccd, crosstalk_eps, rois, wi
             amounts = rng.exponential(ccd.counts_per_photon, src.size)
         else:
             amounts = np.full(src.size, float(ccd.counts_per_photon))
-        inside = (px >= 0) & (px < width) & (py >= 0) & (py < height)
-        col = column[py[inside] * width + px[inside]]
+        inside = (px >= x_lo) & (px < x_hi) & (py >= y_lo) & (py < y_hi)
+        col = column[py[inside] * width + px[inside] - shift]
         hit = col >= 0
         raw = np.bincount(trial[inside][hit] * read.size + col[hit],
                           weights=amounts[inside][hit], minlength=trials * read.size)
@@ -255,7 +225,10 @@ def simulate_register_batch(
     index) for each block, so a seed gives the same readouts within a
     stream version. Each ion is read through a square ROI box of
     ccd.roi_super_pixels super-pixels, so that count must be a perfect
-    square; only the ROI pixels are drawn, and default_rois' refusals apply.
+    square; only the ROI pixels are drawn. per_ion_lambda0 is the light
+    level of each ion; leak supplies only the leak ratios. Refused: no
+    positions, over MAX_PIXELS pixels from (0, 0) to the far ROI corner, a
+    box reaching below pixel 0, and overlapping boxes.
     """
     _count(trials, "trials", 1)
     positions = _positions(positions)
@@ -266,12 +239,10 @@ def simulate_register_batch(
     side = math.isqrt(_instance(ccd, CcdParams, "imager settings").roi_super_pixels)
     if side * side != ccd.roi_super_pixels:
         raise DomainError(f"roi_super_pixels must be a perfect square, got {ccd.roi_super_pixels}")
-    extent = _extent(positions, side)  # before thresholds and states; default_rois checks placement after them
     n_ions = len(positions)
     thresholds = _thresholds(thresholds, n_ions)
     fixed = None if isinstance(states, str) and states == "random" else _parse_states(states, n_ions)
-    expose = _sampler(positions, per_ion_lambda0, leak, eta, ccd, crosstalk_eps, default_rois(positions, side),
-                      *extent)
+    expose = _sampler(positions, per_ion_lambda0, leak, eta, ccd, crosstalk_eps, _boxes(positions, side), side)
     sums = np.empty((trials, n_ions))
     truth = np.empty((trials, n_ions), dtype=np.int64)
     rng = None

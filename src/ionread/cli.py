@@ -123,11 +123,11 @@ REQUIRED = object()
 
 
 class Key(NamedTuple):
-    """A config key: its value parser (None for a flag that sets no key), its
-    default (None: left out when absent) and, for a key that sizes count
-    tables, the top count a value needs, checked against MAX_BINS."""
+    """A config key: its value parser, its default (None: left out when
+    absent) and, for a key that sizes count tables, the top count a value
+    needs, checked against MAX_BINS."""
 
-    type: Callable | None
+    type: Callable
     default: object = None
     bins: Callable | None = None
 
@@ -139,7 +139,7 @@ _UNITS = {"_us": 1e-6, "_mhz": 2.0 * math.pi * 1e6, "_nm": 1e-9, "_um": 1e-6}
 def _parse(doc: dict, table: dict, where: str, prefix: str = "") -> dict:
     """The typed values of doc's keys in SI units, with the table's defaults filled in."""
     for key in doc:
-        if getattr(table.get(key), "type", None) is None:
+        if key not in table:
             raise ConfigError(f"unknown config key {key!r} {where}")
     values = {}
     for key, spec in table.items():
@@ -182,7 +182,7 @@ def _config(args) -> dict:
     doc = _load_config(args.config)
     table = _pick_table(doc, args.tables)
     flags = {key: getattr(args, key) for key in _FLAGS
-             if getattr(args, key, None) is not None and getattr(table.get(key), "type", None)}
+             if getattr(args, key, None) is not None and key in table}
     return _parse({**doc, **flags}, table, f"for command {args.command!r}")
 
 
@@ -329,7 +329,7 @@ _COMMANDS = {
                  [{"species": _SPECIES, "scheme": _SCHEME, "eta": _ETA}]),
     "curve": (_cmd_curve, "fidelity versus efficiency table as CSV",
               [{"species": _SPECIES, "scheme": _SCHEME,
-                "eta_grid": Key(_numbers, [1e-3, 1e-2, 0.1, 0.3]), "eta": Key(None)}]),
+                "eta_grid": Key(_numbers, [1e-3, 1e-2, 0.1, 0.3])}]),
     "table1": (_cmd_table1, "nine-entry species/efficiency fidelity table", [{}]),
     "mc": (_cmd_mc, "Monte Carlo count histogram as CSV",
            _leak_tables(trials=Key(_integer, REQUIRED), seed=Key(_integer, 0),
@@ -361,8 +361,7 @@ def _key_listing(tables: list) -> str:
             default = ("required" if spec.default is REQUIRED else "optional" if spec.default is None
                        else "default " + json.dumps(spec.default))
             cap = f"; counts capped at {MAX_BINS}" if spec.bins else ""
-            lines.append(f"  {key:<15} {spec.type.__doc__}; {default}{cap}" if spec.type
-                         else f"  (--{key} is accepted and ignored)")
+            lines.append(f"  {key:<15} {spec.type.__doc__}; {default}{cap}")
     return "\n".join(lines)
 
 

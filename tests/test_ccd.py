@@ -12,10 +12,8 @@ from ionread import _text, ccd
 from ionread.ccd import (
     CcdParams,
     RegisterBatch,
-    Roi,
     conditional_correlations,
     crosstalk_ratio,
-    default_rois,
     equal_error_threshold,
     format_readouts_csv,
     simulate_register_batch,
@@ -35,12 +33,14 @@ def roi_mean(readouts, ion):
 
 
 def whole_frame(states, positions, lam, leak, params, eps, seed, width=None, height=None):
-    """Every pixel of one eta = 1 exposure, as block 0 of the register stream draws it. The frame
-    ends where it is given, else side // 2 + 1 pixels past the farthest ion on each axis."""
+    """Every pixel of one eta = 1 exposure, as block 0 of the register stream draws it, read as one
+    1 x 1 box per pixel in row-major order. The frame ends where it is given, else side // 2 + 1
+    pixels past the farthest ion on each axis."""
     margin = math.isqrt(params.roi_super_pixels) // 2 + 1
     width = width or max(int(x) for x, _ in positions) + margin
     height = height or max(int(y) for _, y in positions) + margin
-    expose = ccd._sampler(positions, lam, leak, 1.0, params, eps, [Roi(0, 0, width, height)], width, height)
+    pixels = np.array([(x, y) for y in range(height) for x in range(width)], dtype=np.int64)
+    expose = ccd._sampler(positions, lam, leak, 1.0, params, eps, pixels, 1)
     bits = np.array([ccd._parse_states(states, len(positions))])
     return expose(_keyed_rng(seed, ccd._STREAM_SALT, 0), bits).reshape(height, width).astype(np.int64)
 
@@ -122,32 +122,39 @@ class TestCrosstalkRatio:
 
 class TestRoiGeometry:
     def test_default_rois_fit(self):
-        rois = default_rois(POS3, size=7)
-        assert all(r.width * r.height == 49 for r in rois)
-        assert rois[0].x0 == 0 and rois[0].y0 == 0
+        # the default 7 x 7 boxes of ions 7 apart touch without overlapping
+        assert ccd._boxes(POS3, math.isqrt(CcdParams().roi_super_pixels)).tolist() == [[0, 0], [7, 0], [14, 0]]
 
     def test_overlap_rejected(self):
-        with pytest.raises(ConfigError, match="overlap"):
-            default_rois([(3, 3), (8, 3)], size=7)
+        with pytest.raises(ConfigError, match="ROIs for ions 0 and 1 overlap"):
+            ccd._boxes([(3, 3), (8, 3)], 7)
+        # boxes overlap when they are closer than a side on both axes; the first overlapping pair is named
+        assert ccd._boxes([(3, 3), (10, 10), (3, 10)], 7).tolist() == [[0, 0], [7, 7], [0, 7]]
+        with pytest.raises(ConfigError, match="ROIs for ions 0 and 3 overlap"):  # before ions 1 and 2
+            ccd._boxes([(3, 3), (10, 10), (6, 10), (3, 4)], 7)
+        with pytest.raises(ConfigError, match="ROIs for ions 0 and 1 overlap"):
+            simulate_register_batch(5, [(3, 3), (8, 3)], [12.0] * 2, LEAK, 1.0, CcdParams(), 0.0, [0.0] * 2, 3)
 
     def test_below_pixel_0_rejected(self):
         # near the left or top edge a box would start below pixel 0, and the error names its position
         for positions, i in [([(2, 3)], 0), ([(3, 3), (10, 2)], 1)]:
             with pytest.raises(ConfigError, match=rf"positions\[{i}\].*below pixel 0"):
-                default_rois(positions, size=7)
+                ccd._boxes(positions, 7)
+        with pytest.raises(ConfigError, match=r"positions\[1\] = \(10,-1e\+300\) reaches below pixel 0"):
+            simulate_register_batch(5, [(3, 3), (10, -1e300)], [12.0] * 2, LEAK, 1.0, CcdParams(), 0.0, [0.0] * 2, 3)
 
     def test_no_positions_rejected(self):
         with pytest.raises(DomainError, match="ion position"):
-            default_rois([], size=7)
+            ccd._boxes([], 7)
 
     @pytest.mark.parametrize("size", [1, 6, 7])
     def test_pixel_cap_at_far_corner(self, size):
         # the cap counts the pixels from (0, 0) to the far ROI corner: on a strip size pixels high
         # the widest box that fits passes, and one column more does not
         x = ccd.MAX_PIXELS // size - size + size // 2
-        assert default_rois([(x, size // 2)], size=size)[0].x0 + size == ccd.MAX_PIXELS // size
+        assert ccd._boxes([(x, size // 2)], size)[0, 0] + size == ccd.MAX_PIXELS // size
         with pytest.raises(ConfigError, match=rf"far ROI corner at \({ccd.MAX_PIXELS // size + 1}, {size}\), not 1 to {ccd.MAX_PIXELS} pixels"):
-            default_rois([(x + 1, size // 2)], size=size)
+            ccd._boxes([(x + 1, size // 2)], size)
 
     def test_register_roi_from_super_pixels(self):
         # 5x5 boxes around ions 5 apart fit; the default 7x7 ones would reach below pixel 0 and overlap
@@ -174,12 +181,6 @@ class TestRoiGeometry:
     def test_register_rejects_empty_positions(self):
         with pytest.raises(DomainError, match="ion position"):
             simulate_register_batch(5, [], [], LEAK, 1.0, CcdParams(), 0.0, [], 1)
-
-    def test_roi_validation(self):
-        with pytest.raises(DomainError):
-            Roi(x0=-1, y0=0, width=7, height=7)
-        with pytest.raises(DomainError):
-            Roi(x0=0, y0=0, width=0, height=7)
 
 
 class TestFrameSynthesis:
@@ -224,11 +225,11 @@ class TestFrameSynthesis:
         # * sum_d w_id * p_box(d, j), where w routes eps of each ion's
         # photons to each neighbor d and p_box(d, j) is the PSF mass around
         # ion d that rounds into ion j's box
-        ccd = CcdParams(gain_dist=gain_dist, psf_sigma=psf_sigma)
+        params = CcdParams(gain_dist=gain_dist, psf_sigma=psf_sigma)
         lam = [12.0, 15.6, 9.0]
         trials = 20000
         readouts = simulate_register_batch(
-            trials, POS3, lam, LEAK, 1.0, ccd, eps, [0.0] * 3, 606, states=states)
+            trials, POS3, lam, LEAK, 1.0, params, eps, [0.0] * 3, 606, states=states)
         mean_n = []
         for lam0, bit in zip(lam, states):
             pmf = pmf_arrays(LeakParams(lam0, LEAK.alpha1, LEAK.alpha2), 1.0)[int(bit)]
@@ -241,9 +242,10 @@ class TestFrameSynthesis:
             z = [(center - v) / (psf_sigma * math.sqrt(2)) for v in (lo - 0.5, lo + width - 0.5)]
             return 0.5 * (math.erfc(z[1]) - math.erfc(z[0]))
 
-        for j, roi in enumerate(default_rois(POS3)):
-            p_box = [mass(roi.x0, roi.width, x) * mass(roi.y0, roi.height, y) for x, y in POS3]
-            expect = ccd.counts_per_photon * sum(
+        side = math.isqrt(params.roi_super_pixels)
+        for j, (x0, y0) in enumerate(ccd._boxes(POS3, side).tolist()):
+            p_box = [mass(x0, side, x) * mass(y0, side, y) for x, y in POS3]
+            expect = params.counts_per_photon * sum(
                 mean_n[i] * weights[i, d] * p_box[d] for i in range(3) for d in range(3))
             sums = [r.roi_sums[j] for r in readouts]
             stderr = statistics.stdev(sums) / math.sqrt(trials)
@@ -467,6 +469,24 @@ class TestChunkBoundaries:
         assert correct > 0.9 * len(batch)
         assert csv_peak <= 5 * len(csv)
         assert iter_peak < 2**20
+
+    def test_memory_bounded_by_the_boxes_span(self):
+        # the sampler indexes the pixels from the nearest to the farthest box, not from (0, 0): a
+        # pixel index from (0, 0) at x = 599,000 took 33.7 MB, against 0.16 MB at x = 3
+        def peak(x):
+            tracemalloc.start()
+            try:
+                batch = simulate_register_batch(100, [(x, 3), (x + 7, 3)], [12.0] * 2, LEAK, 1.0, CcdParams(),
+                                                0.016, [600.0] * 2, 5)
+                return batch, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(3)  # the count tables are cached on the first call
+        (near, near_peak), (far, far_peak) = peak(3), peak(599_000)
+        assert far_peak - near_peak < 2**20
+        # the same draws land in the same boxes wherever the register sits
+        assert np.array_equal(far.roi_sums, near.roi_sums) and np.array_equal(far.truth, near.truth)
 
 
 def equal_error_threshold_loop(dark_sums, bright_sums) -> float:

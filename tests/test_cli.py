@@ -407,6 +407,17 @@ class TestCurve:
         inf = [float(r.split(",")[1]) for r in lines[1:]]
         assert all(b <= a for a, b in zip(inf, inf[1:]))
 
+    def test_no_eta_option(self, tmp_path, capsys):
+        # the curve sweeps eta_grid, so a single eta is no option and no key
+        code, out, _ = run(["curve", "--help"], capsys)
+        assert code == 0 and "--eta" not in out and "\n  eta " not in out
+        cfg = write_config(tmp_path, {"species": "cd111"})
+        code, out, err = run(["curve", "--config", cfg, "--eta", "0.1"], capsys)
+        assert (code, out) == (2, "") and "unrecognized arguments: --eta 0.1" in err
+        cfg = write_config(tmp_path, {"species": "cd111", "eta": 0.1}, "eta.json")
+        code, out, err = run(["curve", "--config", cfg], capsys)
+        assert (code, out) == (2, "") and "unknown config key 'eta'" in err
+
 
 class TestTable1:
     def test_rows_and_tolerances(self, capsys):
@@ -860,7 +871,7 @@ def config_documents(draw):
     size just above its cap)."""
     command = draw(st.sampled_from(sorted(cli._COMMANDS)))
     table = draw(st.sampled_from(cli._COMMANDS[command][2]))
-    keys = [key for key, spec in table.items() if spec.type is not None]
+    keys = list(table)
     doc = {key: draw(st.sampled_from(_valid_values(table[key]))) for key in keys
            if table[key].default is cli.REQUIRED or draw(st.booleans())}
     for _ in range(draw(st.integers(0, 2))):

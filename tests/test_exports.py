@@ -80,6 +80,22 @@ def test_every_public_name_has_a_user():
     assert sorted(public - used_names()) == []
 
 
+def test_no_unused_imports():
+    # every name a package module imports is read in that module, unless "# noqa: F401" marks a re-export
+    unused = []
+    for path in sorted(ROOT.glob("src/ionread/*.py")):
+        source = path.read_text(encoding="utf-8")
+        lines, tree = source.splitlines(), ast.parse(source)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if (not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__"
+                    or any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno])):
+                continue
+            unused += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                       if (alias.asname or alias.name).partition(".")[0] not in read]
+    assert unused == []
+
+
 CD = ionread.get_species("cd111")
 HIST = ionread.PhotonHistogram(values=(1.0,))
 LEAK = ionread.LeakParams(12.0, 1e-3, 1e-3)
@@ -104,7 +120,6 @@ def test_unknown_enum_string_is_a_domain_error(call):
     pytest.param(lambda: ionread.snr(True, ionread.CcdParams()), id="snr-bool"),
     pytest.param(lambda: ionread.CcdParams(roi_super_pixels=True), id="CcdParams-bool-k"),
     pytest.param(lambda: ionread.CcdParams(gain_g="1"), id="CcdParams-string-gain"),
-    pytest.param(lambda: ionread.Roi(0, 0, "a", 1), id="Roi-string-width"),
     pytest.param(lambda: ionread.crosstalk_ratio("a", 1), id="crosstalk_ratio-string"),
     pytest.param(lambda: ionread.equal_error_threshold([[1.0, 2.0]], [3.0]), id="equal_error_threshold-2d"),
     pytest.param(lambda: ionread.equal_error_threshold(["a"], [3.0]), id="equal_error_threshold-string"),
@@ -278,14 +293,12 @@ CALLS = {
     "simulate_histogram": (ionread.simulate_histogram, dict(
         params=LEAKS, eta=ETA, config=arg(ionread.McConfig(100, 3), ionread.McConfig(100, 1, "photon_level"),
                                           ionread.McConfig(100, 2, "photon_level", "bright"))), 40),
-    "Roi": (ionread.Roi, dict(x0=arg(0, 3), y0=arg(0), width=arg(1, 7), height=arg(7)), 40),
     "conditional_correlations": (ionread.conditional_correlations, dict(batch=arg(BATCH)), 15),
-    "default_rois": (ionread.default_rois, dict(
-        positions=arg(POS3, [(3.5, 3)]) | items((3, 3), (10, 3), size=(1, 2)), size=arg(7, 3)), 40),
     "equal_error_threshold": (ionread.equal_error_threshold, dict(
         dark_sums=items(1.0, 2.0, size=(1, 3)), bright_sums=items(5.0, size=(1, 3))), 30),
     "simulate_register_batch": (ionread.simulate_register_batch, dict(
-        trials=arg(1, 20), positions=arg(POS3), per_ion_lambda0=items(12.0, 300.0, size=(3, 3)),
+        trials=arg(1, 20), positions=arg(POS3, [(3.5, 3), (10, 3), (17, 3)]) | items((3, 3), (10, 3), size=(3, 3)),
+        per_ion_lambda0=items(12.0, 300.0, size=(3, 3)),
         leak=LEAKS, eta=ETA, ccd=CCD, crosstalk_eps=arg(0.0, 0.016), thresholds=items(600.0, size=(3, 3)),
         seed=arg(0, 7), states=arg("random", "101", [1, 0, 1])), 40),
     "CcdParams": (ionread.CcdParams, dict(
